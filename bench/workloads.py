@@ -36,7 +36,7 @@ from quag.trainer import (
 )
 
 MODEL_SEED = 0
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 CORPUS_PARTS = 4
 TRAINED_CHECK_EPISODES = 4
 
@@ -88,7 +88,7 @@ WORKLOADS = {
             spec=SyntheticSpec(n_frames=64),
             base=_desk(d_model=256, max_frames=64, epochs=1),
             train_episodes=16, heldout_episodes=32,
-            train_share=0.7,
+            train_share=0.4,
         ),
         Workload(
             name="predict",
@@ -311,9 +311,9 @@ def measure(wl: Workload, setup: Setup, seconds: float, work: Path) -> tuple[dic
     loop.run(deadline, min_calls=2 * len(setup.heldout))
     latencies_ms, tokens = loop.latencies_ms, loop.tokens()
     # Every train() call, and every repeat of an episode's prediction, does
-    # identical work, so a slower repeat measures other processes on the
-    # machine, not the program: each is timed by its fastest repeat.
-    fastest_ms = {ep_id: min(v) for ep_id, v in latencies_ms.items()}
+    # identical work; each is timed by the median over the run, which the
+    # slow spells of a shared machine move least (see README.md).
+    episode_ms = {ep_id: statistics.median(v) for ep_id, v in latencies_ms.items()}
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     # After the clock stops: training is deterministic, the checkpoint reloads
@@ -333,12 +333,12 @@ def measure(wl: Workload, setup: Setup, seconds: float, work: Path) -> tuple[dic
 
     metrics = {
         "setup_s": (statistics.median(setup.seconds), "s"),
-        "train_episodes_per_s": (max(rates) if rates else float("nan"), "1/s"),
+        "train_episodes_per_s": (statistics.median(rates) if rates else float("nan"), "1/s"),
         "train_loss": (losses[-1] if losses else float("nan"), "nats"),
-        "predict_ms_p50": (percentile(list(fastest_ms.values()), 50), "ms"),
-        "predict_ms_p90": (percentile(list(fastest_ms.values()), 90), "ms"),
-        "caption_tokens_per_s": (1000.0 * sum(tokens[ep] for ep in fastest_ms)
-                                 / sum(fastest_ms.values()) if fastest_ms else float("nan"),
+        "predict_ms_p50": (percentile(list(episode_ms.values()), 50), "ms"),
+        "predict_ms_p90": (percentile(list(episode_ms.values()), 90), "ms"),
+        "caption_tokens_per_s": (1000.0 * sum(tokens[ep] for ep in episode_ms)
+                                 / sum(episode_ms.values()) if episode_ms else float("nan"),
                                  "1/s"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
