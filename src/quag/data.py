@@ -194,6 +194,14 @@ def write_episode(record: EpisodeRecord, path: Path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def _json_list(value) -> list:
+    """A list-valued metadata field; a string or an object in its place is
+    malformed, not a sequence to iterate."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {type(value).__name__}")
+    return value
+
+
 def load_episode(path: Path) -> EpisodeRecord:
     """Parse and fully validate an episode file."""
     raw = Path(path).read_bytes()
@@ -209,13 +217,19 @@ def load_episode(path: Path) -> EpisodeRecord:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptHeaderError(f"{path}: metadata is not valid JSON: {exc}") from exc
     try:
+        episode_id = str(meta["id"])
         n = int(meta["n_frames"])
         dims = (int(meta["visual_dim"]), int(meta["audio_dim"]), int(meta["query_dim"]))
-        moment = tuple(int(v) for v in meta["moment"])
-        steps = [int(b) for b in meta["steps"]]
-        captions = [[int(t) for t in cap] for cap in meta["captions"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptHeaderError(f"{path}: metadata missing or malformed field: {exc}") from exc
+        if n < 0 or min(dims) < 0:
+            raise ValueError(f"negative extent n_frames={n}, dims={dims}")
+        moment = [int(v) for v in _json_list(meta["moment"])]
+        if len(moment) != 2:
+            raise ValueError(f"moment has {len(moment)} entries, expected 2")
+        steps = [int(b) for b in _json_list(meta["steps"])]
+        captions = [[int(t) for t in _json_list(cap)] for cap in _json_list(meta["captions"])]
+        caption_texts = [str(t) for t in _json_list(meta.get("caption_texts", []))]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptHeaderError(f"{path}: metadata missing or malformed field: {exc!r}") from exc
     counts = (n * dims[0], n * dims[1], dims[2])
     payload = raw[12 + meta_len:]
     if len(payload) != 4 * sum(counts):
@@ -228,14 +242,14 @@ def load_episode(path: Path) -> EpisodeRecord:
         arrays.append(np.frombuffer(payload, dtype="<f4", count=count, offset=offset).copy())
         offset += 4 * count
     record = EpisodeRecord(
-        id=str(meta["id"]),
+        id=episode_id,
         visual=arrays[0].reshape(n, dims[0]),
         audio=arrays[1].reshape(n, dims[1]),
         query=arrays[2],
         moment=(moment[0], moment[1]),
         steps=steps,
         captions=captions,
-        caption_texts=[str(t) for t in meta.get("caption_texts", [])],
+        caption_texts=caption_texts,
     )
     record.validate()
     return record

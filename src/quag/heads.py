@@ -22,7 +22,6 @@ from quag.tensor import (
     Tensor,
     embed_rows,
     masked_softmax,
-    matmul,
     no_grad,
     reshape,
     slice_rows,
@@ -73,13 +72,12 @@ def decode_moment(dist: SpanDistribution) -> tuple[int, int]:
     end = len(pe) - 1 - int(np.argmax(pe[::-1]))
     if end >= start:
         return start, end
-    best = None
-    for s in range(len(ps)):
-        for e in range(s, len(pe)):
-            key = (ps[s] * pe[e], e - s, -s)
-            if best is None or key > best[0]:
-                best = (key, (s, e))
-    return best[1]
+    # Probabilities are nonnegative, so a zeroed s > e entry can at most tie,
+    # and every tie goes to a wider span, which has s <= e.
+    joint = np.triu(np.outer(ps, pe))
+    starts, ends = np.nonzero(joint == joint.max())
+    best = np.lexsort((starts, starts - ends))[0]
+    return int(starts[best]), int(ends[best])
 
 
 @dataclass
@@ -126,7 +124,7 @@ def inject_boundary_markers(frames: Tensor, marker: Tensor,
         return frames
     flags = np.zeros((frames.shape[0], 1), dtype=np.float32)
     flags[list(boundary_frames)] = 1.0
-    return frames + matmul(Tensor(flags), reshape(marker, (1, marker.shape[0])))
+    return frames + Tensor(flags) * marker
 
 
 def step_distribution(frames: Tensor, state: StepBoundaryState,

@@ -16,14 +16,12 @@ import numpy as np
 from quag.tensor import (
     ShapeError,
     Tensor,
-    concat_last,
     gelu,
     layer_norm,
     masked_softmax,
     matmul,
     mul,
     reshape,
-    slice_cols,
     softmax,
     transpose,
 )
@@ -100,7 +98,7 @@ def linear(x: Tensor, layer: LinearLayer) -> Tensor:
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention with per-head slices of D/h channels."""
+    """Scaled dot-product attention with h heads of D/h channels each."""
 
     def __init__(self, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int):
         dim = wq.shape[0]
@@ -133,9 +131,12 @@ def mha(query: Tensor, key: Tensor, value: Tensor, attn: MultiHeadAttention,
         mask: Optional[np.ndarray] = None, return_weights: bool = False):
     """Multi-head attention over [Lq x D] queries and [Lk x D] keys/values.
 
-    ``mask`` is boolean [Lq x Lk] with True marking keys a query must not
-    attend to; masked keys receive exactly zero weight, and a fully-masked
-    query row is an error.
+    Head i attends with channels [i*D/h, (i+1)*D/h) of the projections; all h
+    heads run as one stacked [h x Lq x Lk] product. ``mask`` is boolean
+    [Lq x Lk] with True marking keys a query must not attend to, shared by
+    every head; masked keys receive exactly zero weight, and a fully-masked
+    query row is an error. With ``return_weights`` the attention weights are
+    returned too, as an [h x Lq x Lk] array.
     """
     dim = attn.dim
     if query.ndim != 2 or query.shape[1] != dim:
@@ -144,28 +145,21 @@ def mha(query: Tensor, key: Tensor, value: Tensor, attn: MultiHeadAttention,
         raise ShapeError(
             f"mha key/value shapes {key.shape}/{value.shape} incompatible with dim {dim}"
         )
-    if mask is not None and mask.shape != (query.shape[0], key.shape[0]):
-        raise ShapeError(
-            f"mha mask shape {mask.shape} != ({query.shape[0]}, {key.shape[0]})"
-        )
-    head_dim = dim // attn.n_heads
+    n_q, n_k = query.shape[0], key.shape[0]
+    if mask is not None and mask.shape != (n_q, n_k):
+        raise ShapeError(f"mha mask shape {mask.shape} != ({n_q}, {n_k})")
+    heads = attn.n_heads
+    head_dim = dim // heads
     scale = 1.0 / math.sqrt(head_dim)
-    q = matmul(query, attn.wq)
-    k = matmul(key, attn.wk)
-    v = matmul(value, attn.wv)
-    heads = []
-    weights = []
-    for h in range(attn.n_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        scores = matmul(slice_cols(q, lo, hi), transpose(slice_cols(k, lo, hi))) * scale
-        w = softmax(scores) if mask is None else masked_softmax(scores, mask)
-        if return_weights:
-            weights.append(w.data)
-        heads.append(matmul(w, slice_cols(v, lo, hi)))
-    merged = heads[0] if len(heads) == 1 else concat_last(*heads)
+    q = transpose(reshape(matmul(query, attn.wq), (n_q, heads, head_dim)), (1, 0, 2))
+    k = transpose(reshape(matmul(key, attn.wk), (n_k, heads, head_dim)), (1, 2, 0))
+    v = transpose(reshape(matmul(value, attn.wv), (n_k, heads, head_dim)), (1, 0, 2))
+    scores = matmul(q, k) * scale
+    w = softmax(scores) if mask is None else masked_softmax(scores, mask)
+    merged = reshape(transpose(matmul(w, v), (1, 0, 2)), (n_q, dim))
     out = matmul(merged, attn.wo)
     if return_weights:
-        return out, weights
+        return out, w.data
     return out
 
 

@@ -32,9 +32,7 @@ from quag.qc2 import Qc2Params, apply_filtration, build_query_centric_repr, comp
 from quag.tensor import (
     ShapeError,
     Tensor,
-    matmul,
     no_grad,
-    reshape,
     slice_rows,
     stack_rows,
 )
@@ -223,7 +221,6 @@ class QuagParams:
 @dataclass
 class ForwardOutput:
     repr: Tensor
-    msp_loss: Tensor
     span: Optional[SpanDistribution] = None
     step_dists: Optional[list[Tensor]] = None
     step_targets: Optional[list[int]] = None
@@ -255,11 +252,6 @@ def _check_dims(episode: EpisodeRecord, config: ModelConfig) -> None:
         raise ShapeError(
             f"episode has {episode.n_frames} frames, config caps at {config.max_frames}"
         )
-
-
-def _tile_query(query: Tensor, n_frames: int) -> Tensor:
-    ones_col = Tensor(np.ones((n_frames, 1), dtype=np.float32))
-    return matmul(ones_col, reshape(query, (1, query.shape[0])))
 
 
 def encode_trunk(episode: EpisodeRecord, params: QuagParams,
@@ -300,7 +292,7 @@ def encode_trunk(episode: EpisodeRecord, params: QuagParams,
         filtered = apply_filtration(fused, gates)
         rep = build_query_centric_repr(filtered, context, params.qc2)
     else:
-        rep = fused * _tile_query(r_t, n)
+        rep = fused * r_t
 
     enhanced = encoder_forward(rep, params.encoder, drop, rng)
     return enhanced, pooled_v, pooled_a
@@ -312,32 +304,18 @@ def _caption_memory(enhanced: Tensor, episode_span: tuple[int, int],
     return slice_rows(enhanced, lo, hi + 1)
 
 
-def _episode_msp_loss(pooled_v: Optional[Tensor], pooled_a: Optional[Tensor],
-                      config: ModelConfig) -> Tensor:
-    if pooled_v is None:
-        return Tensor(np.float32(0.0))
-    return msp_contrastive_loss(
-        stack_rows([pooled_v]), stack_rows([pooled_a]), config.tau,
-        normalize=config.normalize_contrastive,
-    )
-
-
 def forward(episode: EpisodeRecord, params: QuagParams, task: str,
-            rng: Optional[np.random.Generator] = None,
-            compute_msp_loss: bool = True) -> ForwardOutput:
+            rng: Optional[np.random.Generator] = None) -> ForwardOutput:
     """Run the trunk and the requested head with teacher forcing.
 
-    The returned alignment loss is the degenerate single-episode value; batch
-    training pools features across episodes via :func:`forward_batch`.
+    The contrastive alignment loss needs the pooled features of a whole batch,
+    so it is left to :func:`forward_batch`.
     """
-    if task not in ("ret", "seg", "cap", "none"):
+    if task not in ("ret", "seg", "cap"):
         raise ValueError(f"unknown task {task!r}")
     config = params.config
     enhanced, pooled_v, pooled_a = encode_trunk(episode, params, rng)
-    msp_loss = _episode_msp_loss(pooled_v, pooled_a, config) if compute_msp_loss \
-        else Tensor(np.float32(0.0))
-    out = ForwardOutput(repr=enhanced, msp_loss=msp_loss,
-                        pooled_visual=pooled_v, pooled_audio=pooled_a)
+    out = ForwardOutput(repr=enhanced, pooled_visual=pooled_v, pooled_audio=pooled_a)
 
     if task == "ret":
         out.span = predict_moment_span(enhanced, params.start_head, params.end_head)
@@ -384,7 +362,7 @@ def forward_batch(episodes: Sequence[EpisodeRecord], params: QuagParams, task: s
     if not episodes:
         raise ValueError("forward_batch needs at least one episode")
     config = params.config
-    outputs = [forward(ep, params, task, rng, compute_msp_loss=False) for ep in episodes]
+    outputs = [forward(ep, params, task, rng) for ep in episodes]
     if outputs[0].pooled_visual is None:
         return outputs, Tensor(np.float32(0.0))
     msp_loss = msp_contrastive_loss(

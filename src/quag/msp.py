@@ -8,7 +8,6 @@ audio-visual representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -29,12 +28,10 @@ from quag.tensor import (
 
 __all__ = [
     "MspParams",
-    "MspOutput",
     "global_pool",
     "msp_contrastive_loss",
     "cross_modal_interact",
     "fuse_audio_visual",
-    "msp_forward",
 ]
 
 
@@ -64,12 +61,6 @@ class MspParams:
         yield from self.attn_v2a.named_params(f"{prefix}.attn_v2a")
         yield from self.attn_a2v.named_params(f"{prefix}.attn_a2v")
         yield from self.fuse.named_params(f"{prefix}.fuse")
-
-
-@dataclass
-class MspOutput:
-    fused: Tensor
-    contrastive_loss: Tensor
 
 
 def global_pool(r_v: Tensor, r_a: Tensor) -> tuple[Tensor, Tensor]:
@@ -126,21 +117,3 @@ def fuse_audio_visual(joint_v: Tensor, joint_a: Tensor, params: MspParams) -> Te
     if joint_v.shape != joint_a.shape:
         raise ShapeError(f"fuse_audio_visual shape mismatch: {joint_v.shape} vs {joint_a.shape}")
     return params.fuse(concat_last(joint_v, joint_a))
-
-
-def msp_forward(r_v: Tensor, r_a: Tensor, params: MspParams,
-                normalize: bool = False) -> MspOutput:
-    """Single-episode run: fused stream plus the degenerate one-pair loss.
-
-    Batch-level training stacks pooled features across episodes and calls
-    :func:`msp_contrastive_loss` directly.
-    """
-    pooled_v, pooled_a = global_pool(r_v, r_a)
-    loss = msp_contrastive_loss(
-        reshape(pooled_v, (1, pooled_v.shape[0])),
-        reshape(pooled_a, (1, pooled_a.shape[0])),
-        params.tau,
-        normalize=normalize,
-    )
-    joint_v, joint_a = cross_modal_interact(r_v, r_a, params)
-    return MspOutput(fused=fuse_audio_visual(joint_v, joint_a, params), contrastive_loss=loss)

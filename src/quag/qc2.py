@@ -18,8 +18,8 @@ from quag.tensor import (
     ShapeError,
     Tensor,
     concat_last,
-    matmul,
     mean_axis,
+    ones,
     reshape,
     sigmoid,
 )
@@ -70,14 +70,13 @@ class GatePair:
 
 
 def fuse_query_context(fused_av: Tensor, query: Tensor, params: Qc2Params) -> Tensor:
-    """Tile the query over frames, concatenate channel-wise, project 2D -> D."""
+    """Broadcast the query over frames, concatenate channel-wise, project 2D -> D."""
     n_frames, dim = fused_av.shape
     if query.ndim != 1 or query.shape[0] != dim:
         raise ShapeError(
             f"query shape {query.shape} does not match stream channel dim {dim}"
         )
-    tiled = matmul(Tensor(np.ones((n_frames, 1), dtype=np.float32)),
-                   reshape(query, (1, dim)))
+    tiled = reshape(query, (1, dim)) * ones((n_frames, 1))
     return params.fuse(concat_last(fused_av, tiled))
 
 

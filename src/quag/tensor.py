@@ -29,7 +29,6 @@ __all__ = [
     "concat_last",
     "stack_rows",
     "slice_rows",
-    "slice_cols",
     "mean_axis",
     "sum_all",
     "softmax",
@@ -269,25 +268,36 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 # structural ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes; any leading axes must match."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] \
+            or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(data, (a, b), backward)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a rank-2 tensor, got {x.shape}")
-    data = x.data.T.copy()
+def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
+    """Permute the axes of ``x`` into a contiguous copy.
+
+    Without ``axes`` the input must be rank-2 and its two axes are swapped.
+    """
+    if axes is None:
+        if x.ndim != 2:
+            raise ShapeError(f"transpose expects a rank-2 tensor, got {x.shape}")
+        axes = (1, 0)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"transpose axes {axes} are not a permutation for shape {x.shape}")
+    data = x.data.transpose(axes).copy()
+    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        _accumulate(x, g.T)
+        _accumulate(x, g.transpose(inverse))
 
     return _node(data, (x,), backward)
 
@@ -350,19 +360,6 @@ def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
     def backward(g):
         buf = np.zeros_like(x.data)
         buf[lo:hi] = g
-        _accumulate(x, buf)
-
-    return _node(data, (x,), backward)
-
-
-def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
-    if not (0 <= lo < hi <= x.shape[-1]):
-        raise ShapeError(f"slice_cols [{lo}:{hi}] out of range for shape {x.shape}")
-    data = x.data[..., lo:hi].copy()
-
-    def backward(g):
-        buf = np.zeros_like(x.data)
-        buf[..., lo:hi] = g
         _accumulate(x, buf)
 
     return _node(data, (x,), backward)

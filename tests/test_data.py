@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quag.data import (
     BOS,
@@ -128,13 +130,7 @@ class TestEpisodeRoundTrip:
     def test_descending_steps_in_file(self, tmp_path):
         path = tmp_path / "ep.qgep"
         write_episode(sample_record(), path)
-        blob = path.read_bytes()
-        meta_len = int.from_bytes(blob[8:12], "little")
-        meta = json.loads(blob[12:12 + meta_len])
-        meta["steps"] = [4, 2]
-        new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-        new_blob = blob[:8] + len(new_meta).to_bytes(4, "little") + new_meta + blob[12 + meta_len:]
-        path.write_bytes(new_blob)
+        path.write_bytes(_with_meta(path.read_bytes(), lambda meta: meta.update(steps=[4, 2])))
         with pytest.raises(InvariantViolationError, match="steps"):
             load_episode(path)
 
@@ -151,6 +147,78 @@ class TestEpisodeRoundTrip:
         record.captions = [[4]]
         with pytest.raises(InvariantViolationError, match="captions"):
             record.validate()
+
+
+def _with_meta(blob: bytes, edit) -> bytes:
+    """Rewrite the metadata segment of an episode file through ``edit``."""
+    meta_len = int.from_bytes(blob[8:12], "little")
+    meta = json.loads(blob[12:12 + meta_len])
+    edit(meta)
+    new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:8] + len(new_meta).to_bytes(4, "little") + new_meta + blob[12 + meta_len:]
+
+
+_META_FIELDS = ("id", "n_frames", "visual_dim", "audio_dim", "query_dim", "moment", "steps",
+                "captions", "caption_texts")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def episode_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "ep.qgep"
+    write_episode(sample_record(), path)
+    return path.read_bytes(), path
+
+
+class TestCorruptEpisodes:
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("id"),
+        lambda meta: meta.update(moment=[1]),
+        lambda meta: meta.update(caption_texts=7),
+        lambda meta: meta.update(caption_texts="w00 w01"),
+        lambda meta: meta.update(n_frames=float("inf")),
+        lambda meta: meta.update(visual_dim=-1, audio_dim=9),  # extents still sum to the payload
+        lambda meta: meta.update(moment={"1": 0, "4": 0}),
+        lambda meta: meta.update(steps="24"),
+    ])
+    def test_malformed_metadata_raises_corrupt_header(self, episode_blob, tmp_path, edit):
+        good, _ = episode_blob
+        path = tmp_path / "ep.qgep"
+        path.write_bytes(_with_meta(good, edit))
+        with pytest.raises(CorruptHeaderError, match="metadata"):
+            load_episode(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupt_bytes_raise_only_episode_io_error(self, episode_blob, data):
+        good, path = episode_blob
+        kind = data.draw(st.sampled_from(["truncate", "flip", "field"]), label="kind")
+        if kind == "truncate":
+            raw = good[:data.draw(st.integers(0, len(good) - 1), label="length")]
+        elif kind == "flip":
+            meta_end = 12 + int.from_bytes(good[8:12], "little")
+            position = st.one_of(st.integers(0, meta_end - 1), st.integers(0, len(good) - 1))
+            raw = bytearray(good)
+            for at in data.draw(st.lists(position, min_size=1, max_size=4), label="flips"):
+                raw[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+            raw = bytes(raw)
+        else:
+            name = data.draw(st.sampled_from(_META_FIELDS), label="field")
+            if data.draw(st.booleans(), label="drop"):
+                raw = _with_meta(good, lambda meta: meta.pop(name))
+            else:
+                value = data.draw(_JSON_VALUES, label="value")
+                raw = _with_meta(good, lambda meta: meta.update({name: value}))
+        path.write_bytes(raw)
+        try:
+            load_episode(path)
+        except EpisodeIOError:
+            pass
 
 
 class TestSyntheticGenerator:

@@ -82,6 +82,48 @@ class TestDecodeMoment:
         dist = self.make(np.full(n, 1 / n), np.full(n, 1 / n))
         assert decode_moment(dist) == (0, n - 1)
 
+    @staticmethod
+    def loop_decode(ps, pe):
+        """The O(N^2) double loop the vectorised fallback replaced, kept as
+        the reference; returns the span and whether the fallback ran."""
+        start = int(np.argmax(ps))
+        end = len(pe) - 1 - int(np.argmax(pe[::-1]))
+        if end >= start:
+            return (start, end), False
+        best = None
+        for s in range(len(ps)):
+            for e in range(s, len(pe)):
+                key = (ps[s] * pe[e], e - s, -s)
+                if best is None or key > best[0]:
+                    best = (key, (s, e))
+        return best[1], True
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "zero"])
+    def test_matches_loop_reference(self, kind):
+        gen = rng(60)
+        fallbacks = 0
+        for trial in range(200):
+            n = int(gen.integers(2, 24))
+            if kind == "random":
+                ps, pe = gen.random(n), gen.random(n)
+            elif kind == "tied":
+                ps, pe = gen.integers(0, 3, n) / 4.0, gen.integers(0, 3, n) / 4.0
+            else:
+                # Start mass after end mass, so every ordered pair's product is 0.
+                cut = int(gen.integers(1, n))
+                ps = np.where(np.arange(n) >= cut, gen.integers(0, 2, n), 0.0)
+                pe = np.where(np.arange(n) < cut, gen.integers(0, 2, n), 0.0)
+                ps[cut], pe[cut - 1] = 1.0, 1.0
+                if trial % 2:
+                    ps, pe = np.zeros(n), np.zeros(n)
+            if trial % 3 == 0:
+                ps, pe = np.sort(ps), np.sort(pe)[::-1].copy()  # push start after end
+            dist = self.make(ps, pe)
+            expected, fell_back = self.loop_decode(dist.p_start.data, dist.p_end.data)
+            fallbacks += fell_back
+            assert decode_moment(dist) == expected, (ps, pe)
+        assert fallbacks >= 50
+
 
 class TestStepBoundaries:
     def test_single_frame_span(self):

@@ -23,9 +23,11 @@ def identity_attention(dim, n_heads=1):
     return MultiHeadAttention(*mats, n_heads=n_heads)
 
 
-def reference_attention(q, k, v, scale):
+def reference_attention(q, k, v, scale, mask=None):
     """Plain numpy single-head attention used as an independent oracle."""
     scores = (q @ k.T) * scale
+    if mask is not None:
+        scores = np.where(mask, -np.inf, scores)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w = e / e.sum(axis=-1, keepdims=True)
     return w @ v
@@ -129,6 +131,39 @@ class TestMha:
         params = [q, kv, attn.wq, attn.wk, attn.wv, attn.wo]
         err = grad_check(lambda: sum_all(mha(q, kv, kv, attn) * mha(q, kv, kv, attn)),
                          params, h=1e-3, max_coords=6)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_matches_per_head_reference(self, n_heads, causal):
+        dim, n_q, n_k = 16, 5, 5 if causal else 7
+        attn = MultiHeadAttention.create(rng(41), dim, n_heads)
+        query = rng(42).standard_normal((n_q, dim)).astype(np.float32)
+        key = rng(43).standard_normal((n_k, dim)).astype(np.float32)
+        value = rng(44).standard_normal((n_k, dim)).astype(np.float32)
+        mask = causal_mask(n_q) if causal else None
+        out, weights = mha(Tensor(query), Tensor(key), Tensor(value), attn, mask=mask,
+                           return_weights=True)
+        assert weights.shape == (n_heads, n_q, n_k)
+
+        wq, wk, wv, wo = (m.data.astype(np.float64) for m in (attn.wq, attn.wk, attn.wv, attn.wo))
+        q, k, v = query @ wq, key @ wk, value @ wv
+        width = dim // n_heads
+        heads = []
+        for h in range(n_heads):
+            cols = slice(h * width, (h + 1) * width)
+            heads.append(reference_attention(q[:, cols], k[:, cols], v[:, cols],
+                                             1.0 / np.sqrt(width), mask))
+        expected = np.concatenate(heads, axis=-1) @ wo
+        np.testing.assert_allclose(out.data, expected, atol=1e-5)
+
+    def test_gradient_four_heads_causal(self):
+        attn = MultiHeadAttention.create(rng(45), 8, 4)
+        x = Tensor(rng(46).standard_normal((4, 8)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng(47).standard_normal((4, 8)).astype(np.float32))
+        params = [x, attn.wq, attn.wk, attn.wv, attn.wo]
+        err = grad_check(lambda: sum_all(mha(x, x, x, attn, mask=causal_mask(4)) * w),
+                         params, h=1e-3, max_coords=12)
         assert err < 1e-4
 
 

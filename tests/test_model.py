@@ -153,11 +153,6 @@ class TestForward:
             assert logits.shape == (len(caption) + 1, cfg.vocab_size)
             assert targets[:-1] == caption and targets[-1] == 2  # EOS
 
-    def test_single_episode_msp_loss_is_zero(self):
-        params = QuagParams(tiny_config())
-        out = forward(make_episode(), params, "ret")
-        assert out.msp_loss.item() == pytest.approx(0.0, abs=1e-6)
-
 
 class TestFusionModes:
     def test_joint_ignores_msp_and_qc2_params(self):

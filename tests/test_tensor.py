@@ -23,7 +23,6 @@ from quag.tensor import (
     no_grad,
     reshape,
     sigmoid,
-    slice_cols,
     slice_rows,
     softmax,
     stack_rows,
@@ -55,6 +54,31 @@ class TestMatmul:
         b = Tensor(rand((4, 2), seed=2), requires_grad=True)
         err = grad_check(lambda: sum_all(matmul(a, b)), [a, b], h=1e-3)
         assert err < 1e-4
+
+    def test_stacked_matches_per_slice_products(self):
+        a, b = rand((3, 2, 4), seed=40), rand((3, 4, 5), seed=41)
+        out = matmul(Tensor(a), Tensor(b))
+        assert out.shape == (3, 2, 5)
+        for i in range(3):
+            np.testing.assert_array_equal(out.data[i], a[i] @ b[i])
+
+    def test_stacked_gradient(self):
+        a = Tensor(rand((2, 3, 4), seed=42), requires_grad=True)
+        b = Tensor(rand((2, 4, 2), seed=43), requires_grad=True)
+        w = Tensor(rand((2, 3, 2), seed=44))
+        err = grad_check(lambda: sum_all(matmul(a, b) * w), [a, b], h=1e-3)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (3, 4, 5)),   # leading extents differ
+        ((2, 3, 4), (4, 5)),      # ranks differ
+        ((3, 4), (2, 4, 5)),
+        ((2, 3, 4), (2, 3, 5)),   # inner extents differ
+        ((4,), (4,)),             # rank 1
+    ])
+    def test_stacked_shape_mismatch(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="matmul shape mismatch"):
+            matmul(Tensor(rand(a_shape)), Tensor(rand(b_shape)))
 
 
 class TestSoftmax:
@@ -221,6 +245,25 @@ class TestStructuralOps:
         err = grad_check(lambda: sum_all(transpose(x) * w), [x], h=1e-3)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("axes", [(1, 0, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2)])
+    def test_transpose_axes_values_and_grad(self, axes):
+        x = Tensor(rand((2, 3, 4), seed=45), requires_grad=True)
+        out = transpose(x, axes)
+        np.testing.assert_array_equal(out.data, np.transpose(x.data, axes))
+        assert out.data.flags.c_contiguous
+        assert not np.shares_memory(out.data, x.data)
+        w = Tensor(rand(out.shape, seed=46))
+        err = grad_check(lambda: sum_all(transpose(x, axes) * w), [x], h=1e-3)
+        assert err < 1e-4
+
+    def test_transpose_rejects_bad_axes(self):
+        x = Tensor(rand((2, 3, 4)))
+        with pytest.raises(ShapeError, match="rank-2"):
+            transpose(x)
+        for axes in [(0, 1), (0, 0, 1), (1, 2, 3)]:
+            with pytest.raises(ShapeError, match="permutation"):
+                transpose(x, axes)
+
     def test_reshape_grad(self):
         x = Tensor(rand((2, 6), seed=17), requires_grad=True)
         w = Tensor(rand((3, 4), seed=18))
@@ -238,12 +281,8 @@ class TestStructuralOps:
     def test_slices(self):
         x = Tensor(rand((5, 4), seed=22), requires_grad=True)
         np.testing.assert_allclose(slice_rows(x, 1, 3).data, x.data[1:3])
-        np.testing.assert_allclose(slice_cols(x, 0, 2).data, x.data[:, :2])
         w = Tensor(rand((2, 4), seed=23))
         err = grad_check(lambda: sum_all(slice_rows(x, 1, 3) * w), [x], h=1e-3)
-        assert err < 1e-4
-        w2 = Tensor(rand((5, 2), seed=24))
-        err = grad_check(lambda: sum_all(slice_cols(x, 1, 3) * w2), [x], h=1e-3)
         assert err < 1e-4
         with pytest.raises(ShapeError):
             slice_rows(x, 3, 9)
