@@ -5,6 +5,13 @@ preserved when supplied, which the gradient checker uses internally). Every
 differentiable operation records its inputs and a backward rule on the output
 tensor; ``Tensor.backward`` replays them once in reverse topological order,
 summing gradients into shared inputs.
+
+Dtype rule: an op's result has the dtype numpy gives its operands' arrays, and
+a Python scalar or array met by an operator takes the dtype of the tensor it
+meets (``_coerce``). So float32 parameters give float32 activations and
+gradients, and float64 ones stay float64. Under NumPy 2's scalar promotion
+(NEP 50) a 0-d float64 array is not cast by value, so wrapping ``x * 0.5`` as
+a float64 tensor would turn every later op into float64 arithmetic.
 """
 
 from __future__ import annotations
@@ -119,33 +126,33 @@ class Tensor:
             grad = np.ones_like(self.data)
         ComputationTape.trace(self).run_backward(self, np.asarray(grad, dtype=self.data.dtype))
 
-    # Operator sugar; python scalars are wrapped as constant tensors.
+    # Operator sugar; a non-tensor operand takes this tensor's dtype.
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, _coerce(other, self))
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return add(_coerce(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _coerce(other))
+        return sub(self, _coerce(other, self))
 
     def __rsub__(self, other):
-        return sub(_coerce(other), self)
+        return sub(_coerce(other, self), self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, _coerce(other, self))
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return mul(_coerce(other, self), self)
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        return div(self, _coerce(other, self))
 
     def __rtruediv__(self, other):
-        return div(_coerce(other), self)
+        return div(_coerce(other, self), self)
 
     def __neg__(self):
-        return mul(self, Tensor(np.asarray(-1.0, dtype=self.data.dtype)))
+        return mul(self, _coerce(-1.0, self))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -189,8 +196,10 @@ class ComputationTape:
                 node._backward(node.grad)
 
 
-def _coerce(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _coerce(value, like: Tensor) -> Tensor:
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -501,12 +510,12 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximate gaussian error linear unit."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * v ** 3)
+    inner = _GELU_C * (v + 0.044715 * (v * v * v))
     t = np.tanh(inner)
     out = 0.5 * v * (1.0 + t)
 
     def backward(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v ** 2)
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
         deriv = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * d_inner
         _accumulate(x, g * deriv)
 

@@ -11,11 +11,14 @@ TINY_SPEC = SyntheticSpec(
 )
 
 
+TINY_MODEL = dict(
+    d_model=16, n_heads=2, encoder_layers=1, decoder_layers=1,
+    max_caption_len=8, max_steps=6, epochs=5, tau=0.5,
+)
+
+
 def tiny_config(manifest, **overrides):
-    base = ModelConfig.desk_scale(
-        d_model=16, n_heads=2, encoder_layers=1, decoder_layers=1,
-        max_caption_len=8, max_steps=6, epochs=5, tau=0.5,
-    )
+    base = ModelConfig.desk_scale(**TINY_MODEL)
     return ModelConfig.for_manifest(manifest, base=base, **overrides)
 
 

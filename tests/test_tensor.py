@@ -381,3 +381,30 @@ def test_forward_values_stay_finite_on_finite_inputs():
     x = Tensor(rng.standard_normal((4, 6)).astype(np.float32) * 50)
     for out in (softmax(x), sigmoid(x), gelu(x), mean_axis(x, 0)):
         assert np.isfinite(out.data).all()
+
+
+class TestScalarOperands:
+    OPS = {
+        "add": (lambda t: t + 2.5, lambda t: 2.5 + t),
+        "sub": (lambda t: t - 2.5, lambda t: 2.5 - t),
+        "mul": (lambda t: t * 2.5, lambda t: 2.5 * t),
+        "div": (lambda t: t / 2.5, lambda t: 2.5 / t),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_python_scalar_keeps_tensor_dtype(self, dtype, op, order):
+        x = Tensor(rand((3, 4), seed=47).astype(dtype) + 4.0, requires_grad=True)
+        out = self.OPS[op][order](x)
+        assert out.data.dtype == dtype
+        sum_all(out).backward()
+        assert x.grad.dtype == dtype
+        assert all(n.data.dtype == dtype for n in ComputationTape.trace(out).nodes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negation_keeps_tensor_dtype(self, dtype):
+        x = Tensor(rand(5, seed=48).astype(dtype))
+        out = -x
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, -x.data)
