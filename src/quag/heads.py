@@ -6,6 +6,13 @@ moment or at/before the last committed boundary are masked out, a committed
 boundary is marked in the representation by adding a learned marker vector at
 its frame, and generation stops when a boundary reaches the span end. Step
 captions are decoded autoregressively against the step's frames.
+
+Decoding runs on a ``DecodeState``: each block's cross-attention keys and
+values are projected from the memory once per decode, the self-attention keys
+and values grow by one position per token, and greedy decoding (one row) and
+beam search (one row per live beam) feed only the newest token at each step.
+Training keeps the full-prefix ``teacher_forced_logits``; the state is held
+to the same ids as recomputing that whole prefix for every token.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from quag.tensor import (
     ShapeError,
     Tensor,
     embed_rows,
+    log_softmax,
     masked_softmax,
     no_grad,
     reshape,
@@ -32,6 +40,7 @@ __all__ = [
     "SpanDistribution",
     "StepBoundaryState",
     "CaptionDecoder",
+    "DecodeState",
     "predict_moment_span",
     "decode_moment",
     "inject_boundary_markers",
@@ -221,44 +230,94 @@ class CaptionDecoder:
         return linear(x, self.out)
 
     def greedy_decode(self, memory: Tensor, max_len: int) -> list[int]:
-        """Greedy decode from BOS; stops at EOS or after max_len tokens."""
-        ids = [BOS]
+        """Greedy decode from BOS; stops at EOS, after max_len tokens, or
+        after max_positions - 1 tokens."""
+        state = DecodeState(self, memory)
         out: list[int] = []
-        with no_grad():
-            while len(out) < max_len and len(ids) < self.max_positions:
-                logits = self.teacher_forced_logits(memory, ids)
-                nxt = int(np.argmax(logits.data[-1]))
-                if nxt == EOS:
-                    break
-                out.append(nxt)
-                ids.append(nxt)
+        token = BOS
+        for _ in range(min(max_len, self.max_positions - 1)):
+            token = int(np.argmax(state.step([token]).data[0]))
+            if token == EOS:
+                break
+            out.append(token)
         return out
 
     def beam_decode(self, memory: Tensor, max_len: int, beam_width: int) -> list[int]:
-        """Beam search over summed token log-probabilities."""
-        if beam_width <= 1:
+        """Beam search over summed token log-probabilities; width 1 is greedy.
+
+        The live beams step together as the rows of one ``DecodeState``. A
+        beam that ends in EOS keeps its score and gives up its row.
+        """
+        if beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+        if beam_width == 1:
             return self.greedy_decode(memory, max_len)
+        state = DecodeState(self, memory)
         beams: list[tuple[float, list[int], bool]] = [(0.0, [BOS], False)]
-        with no_grad():
-            for _ in range(min(max_len, self.max_positions - 1)):
-                if all(done for _, _, done in beams):
-                    break
-                grown: list[tuple[float, list[int], bool]] = []
-                for score, ids, done in beams:
-                    if done:
-                        grown.append((score, ids, done))
-                        continue
-                    logits = self.teacher_forced_logits(memory, ids).data[-1]
-                    shifted = logits - logits.max()
-                    logp = shifted - np.log(np.exp(shifted).sum())
-                    for tok in np.argsort(logp)[::-1][:beam_width]:
-                        tok = int(tok)
-                        grown.append((score + float(logp[tok]), ids + [tok], tok == EOS))
-                grown.sort(key=lambda b: b[0], reverse=True)
-                beams = grown[:beam_width]
+        for _ in range(min(max_len, self.max_positions - 1)):
+            if all(done for _, _, done in beams):
+                break
+            logp = log_softmax(state.step([ids[-1] for _, ids, done in beams
+                                           if not done])).data
+            grown: list[tuple[float, list[int], bool, int]] = []
+            row = 0
+            for score, ids, done in beams:
+                if done:
+                    grown.append((score, ids, done, -1))
+                    continue
+                for tok in np.argsort(logp[row])[::-1][:beam_width]:
+                    tok = int(tok)
+                    grown.append((score + float(logp[row, tok]), ids + [tok], tok == EOS, row))
+                row += 1
+            grown.sort(key=lambda b: b[0], reverse=True)
+            beams = [b[:3] for b in grown[:beam_width]]
+            state.select([b[3] for b in grown[:beam_width] if not b[2]])
         best = max(beams, key=lambda b: b[0])
         ids = best[1][1:]
         return ids[:-1] if ids and ids[-1] == EOS else ids
+
+
+class DecodeState:
+    """Incremental decoding of R rows against one memory.
+
+    Per decoder block it caches the memory's cross-attention keys and values,
+    projected once, and the self-attention keys and values of every position
+    decoded so far, one position more per ``step``. The rows step together:
+    one row for greedy decoding, the live beams for beam search; ``select``
+    reorders, repeats or drops rows to follow the surviving beams. Invariant:
+    row r's ``step`` logits equal the last row of ``teacher_forced_logits``
+    over row r's tokens up to float rounding, so decoding picks the same ids
+    as recomputing the whole prefix for every token.
+    """
+
+    def __init__(self, decoder: CaptionDecoder, memory: Tensor):
+        self.decoder = decoder
+        self.rows = 1
+        self.length = 0
+        with no_grad():
+            self.caches = [block.start_cache(memory) for block in decoder.blocks]
+
+    def step(self, tokens: Sequence[int]) -> Tensor:
+        """Feed one token per row at the next position; returns [R x V] logits
+        for the token after it."""
+        dec = self.decoder
+        if len(tokens) != self.rows:
+            raise ShapeError(f"step got {len(tokens)} tokens for {self.rows} rows")
+        if self.length >= dec.max_positions:
+            raise ShapeError(f"decoding past {dec.max_positions} positions")
+        with no_grad():
+            x = embed_rows(dec.embed, tokens) + slice_rows(dec.pos, self.length,
+                                                           self.length + 1)
+            for i, block in enumerate(dec.blocks):
+                x, self.caches[i] = block.step(x, self.caches[i])
+            self.length += 1
+            return linear(x, dec.out)
+
+    def select(self, rows: Sequence[int]) -> None:
+        """Keep the given rows, in the given order; a row may repeat."""
+        idx = np.asarray(rows, dtype=np.intp)
+        self.caches = [tuple(a[idx] for a in cache) for cache in self.caches]
+        self.rows = len(idx)
 
 
 def decode_step_caption(frames: Tensor, step_span: tuple[int, int],
@@ -271,6 +330,4 @@ def decode_step_caption(frames: Tensor, step_span: tuple[int, int],
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     lo, hi = step_span
     memory = slice_rows(frames, lo, hi + 1) if restrict_to_step else frames
-    if beam_width > 1:
-        return decoder.beam_decode(memory, max_len, beam_width)
-    return decoder.greedy_decode(memory, max_len)
+    return decoder.beam_decode(memory, max_len, beam_width)

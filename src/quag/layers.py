@@ -33,6 +33,8 @@ __all__ = [
     "DecoderBlock",
     "linear",
     "mha",
+    "project_heads",
+    "attend",
     "encoder_forward",
     "xavier_uniform",
     "causal_mask",
@@ -148,19 +150,40 @@ def mha(query: Tensor, key: Tensor, value: Tensor, attn: MultiHeadAttention,
     n_q, n_k = query.shape[0], key.shape[0]
     if mask is not None and mask.shape != (n_q, n_k):
         raise ShapeError(f"mha mask shape {mask.shape} != ({n_q}, {n_k})")
-    heads = attn.n_heads
-    head_dim = dim // heads
-    scale = 1.0 / math.sqrt(head_dim)
-    q = transpose(reshape(matmul(query, attn.wq), (n_q, heads, head_dim)), (1, 0, 2))
-    k = transpose(reshape(matmul(key, attn.wk), (n_k, heads, head_dim)), (1, 2, 0))
-    v = transpose(reshape(matmul(value, attn.wv), (n_k, heads, head_dim)), (1, 0, 2))
-    scores = matmul(q, k) * scale
-    w = softmax(scores) if mask is None else masked_softmax(scores, mask)
-    merged = reshape(transpose(matmul(w, v), (1, 0, 2)), (n_q, dim))
-    out = matmul(merged, attn.wo)
+    q = project_heads(query, attn.wq, attn.n_heads, (1, 0, 2))
+    k = project_heads(key, attn.wk, attn.n_heads, (1, 2, 0))
+    v = project_heads(value, attn.wv, attn.n_heads, (1, 0, 2))
+    out, w = attend(q, k, v, attn, mask)
     if return_weights:
         return out, w.data
     return out
+
+
+def project_heads(x: Tensor, weight: Tensor, n_heads: int, axes: Sequence[int]) -> Tensor:
+    """Project [L x D] rows through ``weight`` and split the channels into
+    heads: [L x h x D/h], permuted by ``axes``."""
+    n = x.shape[0]
+    return transpose(reshape(matmul(x, weight), (n, n_heads, -1)), axes)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, attn: MultiHeadAttention,
+           mask: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
+    """Scores, softmax, head merge and ``wo``: the attention core shared by
+    ``mha`` and the cached decoder step.
+
+    Either ``q`` is [h, Lq, D/h], ``k`` [h, D/h, Lk] and ``v`` [h, Lk, D/h],
+    giving an [Lq x D] output, or each carries one more leading axis of R
+    rows with a single query position each (``q`` [R, h, 1, D/h]), giving
+    [R x D]. A single query position merges the heads back into head-major
+    channels by a reshape alone. Also returns the weights,
+    [..., h, Lq, Lk].
+    """
+    scores = matmul(q, k) * (1.0 / math.sqrt(q.shape[-1]))
+    w = softmax(scores) if mask is None else masked_softmax(scores, mask)
+    ctx = matmul(w, v)
+    if ctx.shape[-2] > 1:
+        ctx = transpose(ctx, (1, 0, 2))
+    return matmul(reshape(ctx, (-1, attn.dim)), attn.wo), w
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -253,8 +276,56 @@ class DecoderBlock:
                        self.ln_gains[0], self.ln_biases[0])
         h = layer_norm(h + dropout(self.cross_attn(h, memory, memory), drop_rate, rng),
                        self.ln_gains[1], self.ln_biases[1])
+        return self._feed_forward(h, drop_rate, rng)
+
+    def _feed_forward(self, h: Tensor, drop_rate: float,
+                      rng: Optional[np.random.Generator]) -> Tensor:
         f = self.ffn_out(gelu(self.ffn_in(h)))
         return layer_norm(h + dropout(f, drop_rate, rng), self.ln_gains[2], self.ln_biases[2])
+
+    def start_cache(self, memory: Tensor) -> tuple[np.ndarray, ...]:
+        """The ``step`` cache of one row decoding against ``memory``.
+
+        It holds the self-attention keys [R, h, D/h, t] and values
+        [R, h, t, D/h] of the t positions decoded so far (none yet), then the
+        memory's cross-attention keys [R, h, D/h, M] and values [R, h, M, D/h],
+        projected once here. Axis 0 indexes the R rows throughout, so
+        indexing every array with the same rows reorders, repeats or drops
+        rows.
+        """
+        attn = self.cross_attn
+        heads = attn.n_heads
+        mem_k = project_heads(memory, attn.wk, heads, (1, 2, 0)).data[None]
+        mem_v = project_heads(memory, attn.wv, heads, (1, 0, 2)).data[None]
+        head_dim = attn.dim // heads
+        return (np.zeros((1, heads, head_dim, 0), mem_k.dtype),
+                np.zeros((1, heads, 0, head_dim), mem_v.dtype), mem_k, mem_v)
+
+    def step(self, x: Tensor, cache: tuple[np.ndarray, ...]
+             ) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+        """Run one new position of R rows against a ``start_cache`` cache.
+
+        ``x`` is [R x D], each row the newest position of its own sequence.
+        Returns the block output for those positions, equal to the last row
+        of ``__call__`` over each whole sequence without dropout, and the
+        cache with their self-attention keys and values appended.
+        """
+        past_k, past_v, mem_k, mem_v = cache
+        rows = x.shape[0]
+        attn = self.self_attn
+        heads = attn.n_heads
+        keys = np.concatenate(
+            [past_k, reshape(matmul(x, attn.wk), (rows, heads, -1, 1)).data], axis=-1)
+        values = np.concatenate(
+            [past_v, reshape(matmul(x, attn.wv), (rows, heads, 1, -1)).data], axis=-2)
+        q = reshape(matmul(x, attn.wq), (rows, heads, 1, -1))
+        h = layer_norm(x + attend(q, Tensor(keys), Tensor(values), attn)[0],
+                       self.ln_gains[0], self.ln_biases[0])
+        attn = self.cross_attn
+        q = reshape(matmul(h, attn.wq), (rows, attn.n_heads, 1, -1))
+        h = layer_norm(h + attend(q, Tensor(mem_k), Tensor(mem_v), attn)[0],
+                       self.ln_gains[1], self.ln_biases[1])
+        return self._feed_forward(h, 0.0, None), (keys, values, mem_k, mem_v)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield from self.self_attn.named_params(f"{prefix}.self_attn")

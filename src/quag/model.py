@@ -85,6 +85,8 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
         if self.fusion not in FUSION_MODES:
@@ -95,6 +97,10 @@ class ModelConfig:
             raise ValueError("tau must be positive")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
+        if self.beam_width < 1:
+            raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("d_model", "visual_dim", "audio_dim", "query_dim", "vocab_size",
                      "max_frames", "max_caption_len", "max_steps", "batch_size", "epochs"):
             if getattr(self, name) < 1:

@@ -50,3 +50,13 @@ def test_bad_input_is_reported_not_raised(tmp_path, capsys):
     assert "ModelConfig fields" in capsys.readouterr().err
     assert main(["predict", str(manifest_path), str(tmp_path / "missing-run")]) == 1
     assert "missing-run" in capsys.readouterr().err
+
+
+def test_zero_heads_config_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_heads": 0}))
+    assert main(["gen", str(tmp_path / "corpus")]) == 0
+    capsys.readouterr()
+    assert main(["train", str(tmp_path / "corpus" / "manifest.json"), str(tmp_path / "run"),
+                 "--config", str(config)]) == 1
+    assert "n_heads" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 from quag.data import BOS, EOS
 from quag.heads import (
     CaptionDecoder,
+    DecodeState,
     SpanDistribution,
     StepBoundaryState,
     decode_moment,
@@ -14,7 +15,7 @@ from quag.heads import (
     step_distribution,
 )
 from quag.layers import LinearLayer
-from quag.tensor import ShapeError, Tensor
+from quag.tensor import ShapeError, Tensor, no_grad, slice_rows
 
 
 def rng(seed=0):
@@ -237,3 +238,136 @@ class TestCaptionDecoder:
         out = decoder.beam_decode(memory, 6, 3)
         assert all(0 <= t < 12 for t in out)
         assert len(out) <= 6
+
+
+def recompute_greedy(decoder, memory, max_len):
+    """The greedy loop DecodeState replaced: the whole prefix for every token."""
+    ids = [BOS]
+    out = []
+    with no_grad():
+        while len(out) < max_len and len(ids) < decoder.max_positions:
+            nxt = int(np.argmax(decoder.teacher_forced_logits(memory, ids).data[-1]))
+            if nxt == EOS:
+                break
+            out.append(nxt)
+            ids.append(nxt)
+    return out
+
+
+def recompute_beam(decoder, memory, max_len, beam_width):
+    """The beam search DecodeState replaced: each beam recomputes its prefix."""
+    beams = [(0.0, [BOS], False)]
+    with no_grad():
+        for _ in range(min(max_len, decoder.max_positions - 1)):
+            if all(done for _, _, done in beams):
+                break
+            grown = []
+            for score, ids, done in beams:
+                if done:
+                    grown.append((score, ids, done))
+                    continue
+                logits = decoder.teacher_forced_logits(memory, ids).data[-1]
+                shifted = logits - logits.max()
+                logp = shifted - np.log(np.exp(shifted).sum())
+                for tok in np.argsort(logp)[::-1][:beam_width]:
+                    tok = int(tok)
+                    grown.append((score + float(logp[tok]), ids + [tok], tok == EOS))
+            grown.sort(key=lambda b: b[0], reverse=True)
+            beams = grown[:beam_width]
+    ids = max(beams, key=lambda b: b[0])[1][1:]
+    return ids[:-1] if ids and ids[-1] == EOS else ids
+
+
+def count_steps(monkeypatch):
+    calls = []
+    step = DecodeState.step
+
+    def counted(self, tokens):
+        calls.append(len(tokens))
+        return step(self, tokens)
+
+    monkeypatch.setattr(DecodeState, "step", counted)
+    return calls
+
+
+class TestDecodeState:
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_ids_as_full_prefix_recompute(self, seed, heads, layers):
+        decoder = make_decoder(heads=heads, layers=layers, seed=seed)
+        memory = frames_tensor(2 + seed, 8, seed=100 + seed)
+        assert decoder.greedy_decode(memory, 10) == recompute_greedy(decoder, memory, 10)
+        assert decoder.beam_decode(memory, 10, 1) == recompute_greedy(decoder, memory, 10)
+        for width in (2, 3, 4):
+            assert decoder.beam_decode(memory, 10, width) == \
+                recompute_beam(decoder, memory, 10, width)
+
+    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2), (4, 2)])
+    def test_rows_follow_select(self, heads, layers):
+        decoder = make_decoder(heads=heads, layers=layers, seed=20 + heads)
+        memory = frames_tensor(5, 8, seed=21)
+        pick = rng(22)
+        state = DecodeState(decoder, memory)
+        prefixes = [[BOS]]
+        for _ in range(decoder.max_positions):
+            logits = state.step([p[-1] for p in prefixes]).data
+            assert logits.shape == (len(prefixes), decoder.vocab_size)
+            for row, prefix in zip(logits, prefixes):
+                expected = decoder.teacher_forced_logits(memory, prefix).data[-1]
+                np.testing.assert_allclose(row, expected, atol=1e-5)
+            rows = pick.integers(0, len(prefixes), size=pick.integers(1, 5))
+            state.select(rows)
+            prefixes = [prefixes[r] + [int(pick.integers(0, decoder.vocab_size))]
+                        for r in rows]
+        with pytest.raises(ShapeError):
+            state.step([p[-1] for p in prefixes])
+
+    def test_step_checks_token_count(self):
+        state = DecodeState(make_decoder(seed=23), frames_tensor(3, 8, seed=24))
+        with pytest.raises(ShapeError):
+            state.step([BOS, BOS])
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_single_frame_memory(self, width):
+        decoder = make_decoder(seed=25)
+        frames = frames_tensor(6, 8, seed=26)
+        reference = (recompute_greedy if width == 1 else
+                     lambda d, m, n: recompute_beam(d, m, n, width))
+        out = decode_step_caption(frames, (3, 3), decoder, max_len=8, beam_width=width)
+        assert out == reference(decoder, slice_rows(frames, 3, 4), 8)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("max_len", [6, 20])
+    def test_positions_cap_decode_length(self, width, max_len):
+        decoder = make_decoder(max_pos=6, seed=27)
+        decoder.out.bias.data[EOS] = -1e9  # never stop voluntarily
+        memory = frames_tensor(4, 8, seed=28)
+        out = decoder.beam_decode(memory, max_len, width)
+        assert len(out) == decoder.max_positions - 1
+        if width > 1:
+            assert out == recompute_beam(decoder, memory, max_len, width)
+        else:
+            assert out == recompute_greedy(decoder, memory, max_len)
+
+    def test_beams_all_ending_early_stop_the_search(self, monkeypatch):
+        decoder = make_decoder(seed=29)
+        decoder.out.bias.data[EOS] = 3.0
+        memory = frames_tensor(4, 8, seed=30)
+        steps = count_steps(monkeypatch)
+        out = decoder.beam_decode(memory, 12, 3)
+        assert out == recompute_beam(decoder, memory, 12, 3)
+        assert 1 < len(steps) < 12
+        assert steps[-1] < 3  # finished beams gave up their rows
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_forced_eos_gives_empty_caption_at_every_width(self, width):
+        decoder = make_decoder(seed=1)
+        decoder.out.bias.data[EOS] = 1e9
+        out = decode_step_caption(frames_tensor(6, 8, seed=2), (1, 4), decoder, max_len=8,
+                                  beam_width=width)
+        assert out == []
+
+    def test_width_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            make_decoder(seed=31).beam_decode(frames_tensor(3, 8), 4, 0)

@@ -11,7 +11,7 @@ from quag.layers import (
     linear,
     mha,
 )
-from quag.tensor import ShapeError, Tensor, grad_check, layer_norm, sum_all
+from quag.tensor import ShapeError, Tensor, grad_check, layer_norm, slice_rows, sum_all
 
 
 def rng(seed=0):
@@ -156,6 +156,26 @@ class TestMha:
                                              1.0 / np.sqrt(width), mask))
         expected = np.concatenate(heads, axis=-1) @ wo
         np.testing.assert_allclose(out.data, expected, atol=1e-5)
+
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    def test_single_query_merges_like_a_row_of_many(self, n_heads):
+        attn = MultiHeadAttention.create(rng(48), 8, n_heads)
+        query = Tensor(rng(49).standard_normal((3, 8)).astype(np.float32))
+        kv = Tensor(rng(50).standard_normal((4, 8)).astype(np.float32))
+        rows = mha(query, kv, kv, attn).data
+        for i in range(3):
+            one = mha(slice_rows(query, i, i + 1), kv, kv, attn).data
+            np.testing.assert_allclose(one, rows[i:i + 1], atol=1e-6)
+
+    def test_gradient_single_query(self):
+        attn = MultiHeadAttention.create(rng(51), 8, 4)
+        q = Tensor(rng(52).standard_normal((1, 8)).astype(np.float32), requires_grad=True)
+        kv = Tensor(rng(53).standard_normal((3, 8)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng(54).standard_normal((1, 8)).astype(np.float32))
+        params = [q, kv, attn.wq, attn.wk, attn.wv, attn.wo]
+        err = grad_check(lambda: sum_all(mha(q, kv, kv, attn) * w), params, h=1e-3,
+                         max_coords=12)
+        assert err < 1e-4
 
     def test_gradient_four_heads_causal(self):
         attn = MultiHeadAttention.create(rng(45), 8, 4)

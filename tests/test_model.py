@@ -46,6 +46,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ModelConfig.from_dict({"not_a_field": 1})
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_heads", 0), ("n_heads", -2), ("beam_width", 0), ("beam_width", -1),
+        ("dropout", 1.0), ("dropout", -0.1), ("dropout", float("nan")),
+    ])
+    def test_out_of_range_fields_raise_value_error(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value}).validate()
+
     def test_roundtrip_and_digest(self):
         cfg = tiny_config(lam=0.3)
         again = ModelConfig.from_dict(cfg.to_dict())
