@@ -332,6 +332,12 @@ class SyntheticSpec:
             raise ValueError(f"vocab_size must be >= 8, got {self.vocab_size}")
         if self.n_episodes < 1:
             raise ValueError("n_episodes must be positive")
+        # The step vectors are what is left of random vectors once the topics'
+        # visual signals are projected out; with no dimension left, that is
+        # rounding noise, and normalising it breaks the orthogonality.
+        if self.visual_dim <= self.n_topics:
+            raise ValueError(f"visual_dim must exceed n_topics ({self.n_topics}), "
+                             f"got {self.visual_dim}")
 
 
 def _child_rngs(spec: SyntheticSpec) -> list[np.random.Generator]:
@@ -345,6 +351,7 @@ def planted_structure(spec: SyntheticSpec) -> dict:
     Step-type vectors are orthogonalized against every topic's visual signal
     so the matched-filter oracle sees a flat correlation across the moment.
     """
+    spec.validate()
     rngs = _child_rngs(spec)
     rng_topics, rng_caps = rngs[0], rngs[1]
     k, s = spec.n_topics, spec.n_step_types

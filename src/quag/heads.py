@@ -2,10 +2,13 @@
 
 Moment retrieval predicts start/end simultaneously over unmasked frames.
 Moment segmentation predicts one boundary at a time: frames outside the
-moment or at/before the last committed boundary are masked out, a committed
-boundary is marked in the representation by adding a learned marker vector at
-its frame, and generation stops when a boundary reaches the span end. Step
-captions are decoded autoregressively against the step's frames.
+moment or at/before the last committed boundary are masked out, and
+generation stops when a boundary reaches the span end. A learned marker
+vector is added at the rows of the committed boundaries, but every such row
+is at or before the last boundary, so ``frame_mask`` masks every row the
+marker touches: the marker changes no probability and gets exactly zero
+gradient. Step captions are decoded autoregressively against the step's
+frames.
 
 Decoding runs on a ``DecodeState``: each block's cross-attention keys and
 values are projected from the memory once per decode, the self-attention keys

@@ -1,9 +1,13 @@
 """Training objectives.
 
-Each task head is trained with a negative log-likelihood over its predicted
-distributions; the per-iteration objective adds the contrastive alignment
-loss scaled by a nonnegative trade-off weight. Probabilities are clamped at
-1e-12 before the log so all losses stay finite.
+Every task is trained with the negative log-likelihood of target indices:
+retrieval of the start and end frames, segmentation of the next step
+boundary, captioning of the next token. Each loss gathers the target entries
+of all its distributions with one ``pick`` and sums their logs.
+Probabilities are clamped at 1e-12 before the log so the losses stay finite,
+and a padding token as a caption target adds exactly zero. The per-iteration
+objective adds the contrastive alignment loss scaled by a nonnegative
+trade-off weight.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from quag.data import PAD
 from quag.heads import SpanDistribution
-from quag.tensor import Tensor, log_clamped, log_softmax, sum_all
+from quag.tensor import Tensor, log_clamped, log_softmax, pick, sum_all
 
 __all__ = [
     "TASKS",
@@ -38,29 +42,14 @@ class LossBundle:
     lam: float
 
 
-def _one_hot(index: int, size: int) -> Tensor:
-    if not (0 <= index < size):
-        raise IndexError(f"index {index} out of range for size {size}")
-    row = np.zeros(size, dtype=np.float32)
-    row[index] = 1.0
-    return Tensor(row)
-
-
 def retrieval_loss(dists: Sequence[SpanDistribution],
                    targets: Sequence[tuple[int, int]]) -> Tensor:
     """Batch-mean NLL of the ground-truth start and end indices."""
     if len(dists) != len(targets) or not dists:
         raise ValueError("retrieval_loss needs matching, non-empty batches")
-    b = len(dists)
-    terms = []
-    for dist, (y_start, y_end) in zip(dists, targets):
-        n = dist.p_start.shape[0]
-        terms.append(-sum_all(log_clamped(dist.p_start) * _one_hot(y_start, n)))
-        terms.append(-sum_all(log_clamped(dist.p_end) * _one_hot(y_end, n)))
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = loss + t
-    return loss * (1.0 / b)
+    probs = [p for dist in dists for p in (dist.p_start, dist.p_end)]
+    index = [y for target in targets for y in target]
+    return sum_all(log_clamped(pick(probs, index))) * (-1.0 / len(dists))
 
 
 def segmentation_loss(step_dists: Sequence[Tensor], gt_steps: Sequence[int],
@@ -73,7 +62,6 @@ def segmentation_loss(step_dists: Sequence[Tensor], gt_steps: Sequence[int],
     """
     if len(step_dists) != len(gt_steps) or not step_dists:
         raise ValueError("segmentation_loss needs matching, non-empty batches")
-    terms = []
     for i, (dist, y) in enumerate(zip(step_dists, gt_steps)):
         n = dist.shape[0]
         if not (0 <= y < n):
@@ -82,11 +70,7 @@ def segmentation_loss(step_dists: Sequence[Tensor], gt_steps: Sequence[int],
             raise ValueError(f"instance {i}: ground-truth step {y} is masked out")
         if masks is None and dist.data[y] == 0.0:
             raise ValueError(f"instance {i}: ground-truth step {y} has zero probability")
-        terms.append(-sum_all(log_clamped(dist) * _one_hot(y, n)))
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = loss + t
-    return loss * (1.0 / len(terms))
+    return sum_all(log_clamped(pick(step_dists, gt_steps))) * (-1.0 / len(step_dists))
 
 
 def caption_loss(logit_batch: Sequence[Tensor], gt_tokens: Sequence[Sequence[int]]) -> Tensor:
@@ -96,22 +80,15 @@ def caption_loss(logit_batch: Sequence[Tensor], gt_tokens: Sequence[Sequence[int
     """
     if len(logit_batch) != len(gt_tokens) or not logit_batch:
         raise ValueError("caption_loss needs matching, non-empty batches")
-    terms = []
+    log_probs, index = [], []
     for logits, targets in zip(logit_batch, gt_tokens):
-        m, vocab = logits.shape
-        if len(targets) != m:
-            raise ValueError(f"{len(targets)} targets for {m} logit rows")
-        select = np.zeros((m, vocab), dtype=np.float32)
-        for i, tok in enumerate(targets):
-            if not (0 <= tok < vocab):
-                raise IndexError(f"token id {tok} outside vocabulary of size {vocab}")
-            if tok != PAD:
-                select[i, tok] = 1.0
-        terms.append(-sum_all(log_softmax(logits) * Tensor(select)))
-    loss = terms[0]
-    for t in terms[1:]:
-        loss = loss + t
-    return loss * (1.0 / len(terms))
+        if len(targets) != logits.shape[0]:
+            raise ValueError(f"{len(targets)} targets for {logits.shape[0]} logit rows")
+        tokens = np.asarray(targets, dtype=np.intp)
+        rows = np.flatnonzero(tokens != PAD)
+        log_probs.append(log_softmax(logits))
+        index.append((rows, tokens[rows]))
+    return sum_all(pick(log_probs, index)) * (-1.0 / len(log_probs))
 
 
 def total_loss(task: str, task_loss: Tensor, msp_loss: Tensor, lam: float) -> LossBundle:

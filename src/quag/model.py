@@ -4,47 +4,40 @@ Wires the three input projections, the audio-visual fusion stack, the query
 gating stack, the multi-modal encoder, and the task heads into one model with
 a stable named parameter registry. Ablation fusion modes swap the two core
 stacks for the elementwise sum / broadcast product of the baseline fusion.
+
+``encode_trunk`` runs one episode through everything up to the heads.
+``predict`` decodes with it; the teacher-forced training objective, which
+builds the heads of a whole batch, is ``trainer.batch_loss``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, Optional, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Iterator, Optional
 
 import numpy as np
 
-from quag.data import BOS, EOS, DatasetManifest, EpisodeRecord, step_frame_spans
+from quag.data import DatasetManifest, EpisodeRecord, step_frame_spans
 from quag.heads import (
     CaptionDecoder,
-    SpanDistribution,
-    StepBoundaryState,
     decode_moment,
     decode_step_caption,
     predict_moment_span,
     predict_step_boundaries,
-    step_distribution,
 )
 from quag.layers import EncoderBlock, LinearLayer, encoder_forward
-from quag.msp import MspParams, cross_modal_interact, fuse_audio_visual, global_pool, msp_contrastive_loss
+from quag.msp import MspParams, cross_modal_interact, fuse_audio_visual, global_pool
 from quag.qc2 import Qc2Params, apply_filtration, build_query_centric_repr, compute_gates, fuse_query_context
-from quag.tensor import (
-    ShapeError,
-    Tensor,
-    no_grad,
-    slice_rows,
-    stack_rows,
-)
+from quag.tensor import ShapeError, Tensor, no_grad, slice_rows
 
 __all__ = [
     "FUSION_MODES",
     "ModelConfig",
     "QuagParams",
-    "ForwardOutput",
     "PredictionSet",
-    "forward",
-    "forward_batch",
+    "encode_trunk",
     "predict",
 ]
 
@@ -93,10 +86,18 @@ class ModelConfig:
             raise ValueError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
         if self.caption_context not in ("step", "moment"):
             raise ValueError(f"caption_context must be 'step' or 'moment', got {self.caption_context!r}")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        # Written as `not x > 0` so that NaN fails too.
+        if not self.tau > 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not self.lam >= 0:
+            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not self.lr >= 0:
+            raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        if self.ffn_dim is not None and self.ffn_dim < 1:
+            raise ValueError(f"ffn_dim must be >= 1, or None for 4 * d_model, got {self.ffn_dim}")
+        for name in ("encoder_layers", "decoder_layers"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.beam_width < 1:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
         if not 0.0 <= self.dropout < 1.0:
@@ -225,19 +226,6 @@ class QuagParams:
 
 
 @dataclass
-class ForwardOutput:
-    repr: Tensor
-    span: Optional[SpanDistribution] = None
-    step_dists: Optional[list[Tensor]] = None
-    step_targets: Optional[list[int]] = None
-    step_masks: Optional[list[np.ndarray]] = None
-    caption_logits: Optional[list[Tensor]] = None
-    caption_targets: Optional[list[list[int]]] = None
-    pooled_visual: Optional[Tensor] = None
-    pooled_audio: Optional[Tensor] = None
-
-
-@dataclass
 class PredictionSet:
     episode_id: str
     moment: tuple[int, int]
@@ -302,82 +290,6 @@ def encode_trunk(episode: EpisodeRecord, params: QuagParams,
 
     enhanced = encoder_forward(rep, params.encoder, drop, rng)
     return enhanced, pooled_v, pooled_a
-
-
-def _caption_memory(enhanced: Tensor, episode_span: tuple[int, int],
-                    step_span: tuple[int, int], config: ModelConfig) -> Tensor:
-    lo, hi = step_span if config.caption_context == "step" else episode_span
-    return slice_rows(enhanced, lo, hi + 1)
-
-
-def forward(episode: EpisodeRecord, params: QuagParams, task: str,
-            rng: Optional[np.random.Generator] = None) -> ForwardOutput:
-    """Run the trunk and the requested head with teacher forcing.
-
-    The contrastive alignment loss needs the pooled features of a whole batch,
-    so it is left to :func:`forward_batch`.
-    """
-    if task not in ("ret", "seg", "cap"):
-        raise ValueError(f"unknown task {task!r}")
-    config = params.config
-    enhanced, pooled_v, pooled_a = encode_trunk(episode, params, rng)
-    out = ForwardOutput(repr=enhanced, pooled_visual=pooled_v, pooled_audio=pooled_a)
-
-    if task == "ret":
-        out.span = predict_moment_span(enhanced, params.start_head, params.end_head)
-    elif task == "seg":
-        if not episode.steps:
-            raise ValueError(f"episode {episode.id} has no step annotations for teacher forcing")
-        start, end = episode.moment
-        if start == end:
-            raise ValueError(
-                f"episode {episode.id}: single-frame moment has no step instances to train on"
-            )
-        dists, masks = [], []
-        for i in range(len(episode.steps)):
-            state = StepBoundaryState(span=episode.moment, n_frames=episode.n_frames,
-                                      boundaries=list(episode.steps[:i]))
-            masks.append(state.frame_mask())
-            dists.append(step_distribution(enhanced, state, params.step_head,
-                                           params.boundary_marker))
-        out.step_dists = dists
-        out.step_masks = masks
-        out.step_targets = list(episode.steps)
-    elif task == "cap":
-        if not episode.captions:
-            raise ValueError(f"episode {episode.id} has no captions for teacher forcing")
-        logits, targets = [], []
-        for span, caption in zip(step_frame_spans(episode.moment[0], episode.steps),
-                                 episode.captions):
-            memory = _caption_memory(enhanced, episode.moment, span, config)
-            clipped = caption[: config.max_caption_len - 1] if config.max_caption_len > 1 \
-                else []
-            input_ids = [BOS] + list(clipped)
-            logits.append(params.decoder.teacher_forced_logits(memory, input_ids,
-                                                               config.dropout, rng))
-            targets.append(list(clipped) + [EOS])
-        out.caption_logits = logits
-        out.caption_targets = targets
-    return out
-
-
-def forward_batch(episodes: Sequence[EpisodeRecord], params: QuagParams, task: str,
-                  rng: Optional[np.random.Generator] = None,
-                  ) -> tuple[list[ForwardOutput], Tensor]:
-    """Per-episode forwards plus the batch-level contrastive alignment loss."""
-    if not episodes:
-        raise ValueError("forward_batch needs at least one episode")
-    config = params.config
-    outputs = [forward(ep, params, task, rng) for ep in episodes]
-    if outputs[0].pooled_visual is None:
-        return outputs, Tensor(np.float32(0.0))
-    msp_loss = msp_contrastive_loss(
-        stack_rows([o.pooled_visual for o in outputs]),
-        stack_rows([o.pooled_audio for o in outputs]),
-        config.tau,
-        normalize=config.normalize_contrastive,
-    )
-    return outputs, msp_loss
 
 
 def predict(episode: EpisodeRecord, params: QuagParams) -> PredictionSet:

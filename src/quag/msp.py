@@ -1,7 +1,8 @@
 """Modality-synergistic perception.
 
 Aligns the visual and audio streams globally with a symmetric in-batch
-contrastive objective over mean-pooled features, then fuses them locally via
+contrastive objective over mean-pooled features (the log-likelihood of the
+matched pair, read off the diagonal of both softmax directions), then fuses them locally via
 bidirectional cross-attention and a fully-connected projection into a single
 audio-visual representation.
 """
@@ -20,6 +21,7 @@ from quag.tensor import (
     log_softmax,
     matmul,
     mean_axis,
+    pick,
     reshape,
     sqrt,
     sum_all,
@@ -97,10 +99,9 @@ def msp_contrastive_loss(batch_v: Tensor, batch_a: Tensor, tau: float,
         batch_a = _normalize_rows(batch_a)
     b = batch_v.shape[0]
     sims = matmul(batch_v, transpose(batch_a)) * (1.0 / tau)
-    diag = Tensor(np.eye(b, dtype=np.float32))
-    loss_v2a = -sum_all(log_softmax(sims) * diag) * (1.0 / b)
-    loss_a2v = -sum_all(log_softmax(transpose(sims)) * diag) * (1.0 / b)
-    return (loss_v2a + loss_a2v) * 0.5
+    diag = (np.arange(b), np.arange(b))
+    positives = pick([log_softmax(sims), log_softmax(transpose(sims))], [diag, diag])
+    return sum_all(positives) * (-0.5 / b)
 
 
 def cross_modal_interact(r_v: Tensor, r_a: Tensor, params: MspParams) -> tuple[Tensor, Tensor]:

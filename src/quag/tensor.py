@@ -47,6 +47,7 @@ __all__ = [
     "gelu",
     "layer_norm",
     "embed_rows",
+    "pick",
     "grad_check",
 ]
 
@@ -206,8 +207,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # One C-order copy: ``g`` may be another node's buffer, and a
+        # transposed layout would make later matmuls round differently.
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -393,6 +397,43 @@ def embed_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _node(data, (table,), backward)
 
 
+def pick(tensors: Sequence[Tensor], index: Sequence) -> Tensor:
+    """The entries ``tensors[k][index[k]]`` of every k, concatenated into
+    one vector.
+
+    ``index[k]`` addresses every axis of ``tensors[k]``: an int or an int
+    array for a rank-1 tensor, a tuple of them for higher ranks, so one
+    tensor can give any number of entries. Backward scatter-adds, so an entry
+    may be picked twice and a tensor may be listed twice. An index outside
+    its axis raises ``IndexError``; negative indices do not wrap.
+    """
+    tensors = list(tensors)
+    if not tensors or len(index) != len(tensors):
+        raise ValueError(f"pick needs one index per tensor, got {len(index)} for "
+                         f"{len(tensors)} tensors")
+    where = []
+    for t, ix in zip(tensors, index):
+        ix = tuple(np.asarray(a, dtype=np.intp) for a in (ix if isinstance(ix, tuple) else (ix,)))
+        if len(ix) != t.ndim:
+            raise ShapeError(f"pick: {len(ix)} index arrays for a tensor of shape {t.shape}")
+        for axis, a in enumerate(ix):
+            if a.size and (a.min() < 0 or a.max() >= t.shape[axis]):
+                raise IndexError(f"pick: index out of range for axis {axis} of shape {t.shape}")
+        where.append(ix)
+    picked = [t.data[ix] for t, ix in zip(tensors, where)]
+    bounds = np.cumsum([0] + [p.size for p in picked])
+    data = np.concatenate([p.reshape(-1) for p in picked])
+
+    def backward(g):
+        for t, ix, p, lo, hi in zip(tensors, where, picked, bounds[:-1], bounds[1:]):
+            if t.requires_grad:
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                np.add.at(t.grad, ix, g[lo:hi].reshape(p.shape))
+
+    return _node(data, list({id(t): t for t in tensors}.values()), backward)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -525,12 +566,10 @@ def gelu(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     v = x.data
-    mu = v.mean(axis=-1, keepdims=True)
-    var = v.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (v - mu) * inv
+    centred = v - v.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    y = centred * inv
     out = y * gain.data + bias.data
-    n = v.shape[-1]
 
     def backward(g):
         _accumulate(gain, _unbroadcast(g * y, gain.shape))

@@ -1,5 +1,5 @@
-"""AdamW optimization, the round-robin multi-task training loop, and
-checkpoint persistence.
+"""AdamW optimization, the teacher-forced batch objective, the round-robin
+multi-task training loop, and checkpoint persistence.
 
 A training run is deterministic in (config, dataset): parameter init, batch
 order, and optimizer arithmetic all derive from the config seed, so identical
@@ -19,10 +19,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from quag.data import DatasetManifest, EpisodeRecord
+from quag.data import BOS, EOS, DatasetManifest, EpisodeRecord, step_frame_spans
+from quag.heads import StepBoundaryState, predict_moment_span, step_distribution
 from quag.losses import TASKS, LossBundle, caption_loss, retrieval_loss, segmentation_loss, total_loss
-from quag.model import ModelConfig, QuagParams, forward_batch
-from quag.tensor import Tensor
+from quag.model import ModelConfig, QuagParams, encode_trunk
+from quag.msp import msp_contrastive_loss
+from quag.tensor import Tensor, slice_rows, stack_rows
 
 __all__ = [
     "AdamW",
@@ -183,21 +185,59 @@ class TaskLoaders:
 
 def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
                lam: float, rng: Optional[np.random.Generator] = None) -> LossBundle:
-    """One round-robin iteration's objective on a batch of episodes."""
-    outputs, msp_loss = forward_batch(episodes, model, task, rng)
-    if task == "ret":
-        task_l = retrieval_loss([o.span for o in outputs], [ep.moment for ep in episodes])
-    elif task == "seg":
-        dists = [d for o in outputs for d in o.step_dists]
-        targets = [t for o in outputs for t in o.step_targets]
-        masks = [m for o in outputs for m in o.step_masks]
-        task_l = segmentation_loss(dists, targets, masks)
-    elif task == "cap":
-        logits = [l for o in outputs for l in o.caption_logits]
-        targets = [t for o in outputs for t in o.caption_targets]
-        task_l = caption_loss(logits, targets)
-    else:
+    """One round-robin iteration's objective on a batch of episodes.
+
+    Each episode runs through the trunk, then through the task's head with
+    teacher forcing. The batch's pooled features then give the contrastive
+    alignment loss (zero when the fusion mode has no alignment stack), which
+    ``total_loss`` adds to the task loss.
+    """
+    if not episodes:
+        raise ValueError("batch_loss needs at least one episode")
+    if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    config = model.config
+    pooled_v, pooled_a, heads, targets, masks = [], [], [], [], []
+    for ep in episodes:
+        if task == "seg" and not ep.steps:
+            raise ValueError(f"episode {ep.id} has no step annotations for teacher forcing")
+        if task == "seg" and ep.moment[0] == ep.moment[1]:
+            raise ValueError(
+                f"episode {ep.id}: single-frame moment has no step instances to train on")
+        if task == "cap" and not ep.captions:
+            raise ValueError(f"episode {ep.id} has no captions for teacher forcing")
+        enhanced, pv, pa = encode_trunk(ep, model, rng)
+        pooled_v.append(pv)
+        pooled_a.append(pa)
+        if task == "ret":
+            heads.append(predict_moment_span(enhanced, model.start_head, model.end_head))
+            targets.append(ep.moment)
+        elif task == "seg":
+            for i in range(len(ep.steps)):
+                state = StepBoundaryState(span=ep.moment, n_frames=ep.n_frames,
+                                          boundaries=list(ep.steps[:i]))
+                masks.append(state.frame_mask())
+                heads.append(step_distribution(enhanced, state, model.step_head,
+                                               model.boundary_marker))
+            targets.extend(ep.steps)
+        else:
+            for span, caption in zip(step_frame_spans(ep.moment[0], ep.steps), ep.captions):
+                lo, hi = span if config.caption_context == "step" else ep.moment
+                clipped = list(caption[: config.max_caption_len - 1])
+                heads.append(model.decoder.teacher_forced_logits(
+                    slice_rows(enhanced, lo, hi + 1), [BOS] + clipped, config.dropout, rng))
+                targets.append(clipped + [EOS])
+    if pooled_v[0] is None:
+        msp_loss = Tensor(np.float32(0.0))
+    else:
+        msp_loss = msp_contrastive_loss(stack_rows(pooled_v), stack_rows(pooled_a), config.tau,
+                                        normalize=config.normalize_contrastive)
+    if task == "ret":
+        task_l = retrieval_loss(heads, targets)
+    elif task == "seg":
+        task_l = segmentation_loss(heads, targets, masks)
+    else:
+        task_l = caption_loss(heads, targets)
     return total_loss(task, task_l, msp_loss, lam)
 
 

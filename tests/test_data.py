@@ -278,6 +278,21 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="vocab_size"):
             generate_synthetic_dataset(tmp_path, SyntheticSpec(vocab_size=4))
 
+    @pytest.mark.parametrize("visual_dim", [3, 4])
+    def test_visual_dim_must_exceed_topics(self, tmp_path, visual_dim):
+        spec = SyntheticSpec(seed=0, visual_dim=visual_dim, n_topics=4)
+        with pytest.raises(ValueError, match="visual_dim"):
+            generate_synthetic_dataset(tmp_path, spec)
+        with pytest.raises(ValueError, match="visual_dim"):
+            planted_structure(spec)
+
+    @pytest.mark.parametrize("visual_dim", [5, 40])
+    def test_step_vectors_orthogonal_to_topic_signals(self, visual_dim):
+        planted = planted_structure(SyntheticSpec(seed=0, visual_dim=visual_dim, n_topics=4))
+        steps = planted["step_vectors"]
+        np.testing.assert_allclose(np.linalg.norm(steps, axis=1), 1.0, atol=1e-5)
+        assert np.abs(steps @ planted["visual_signals"].T).max() < 1e-5
+
     def test_manifest_missing_file_detected(self, tmp_path):
         spec = SyntheticSpec(seed=5, n_episodes=2)
         generate_synthetic_dataset(tmp_path, spec)

@@ -6,7 +6,19 @@ import pytest
 from quag.data import PAD
 from quag.heads import SpanDistribution
 from quag.losses import LossBundle, caption_loss, retrieval_loss, segmentation_loss, total_loss
-from quag.tensor import Tensor, grad_check, masked_softmax, reshape, softmax
+from quag.msp import _normalize_rows, msp_contrastive_loss
+from quag.tensor import (
+    Tensor,
+    grad_check,
+    log_clamped,
+    log_softmax,
+    masked_softmax,
+    matmul,
+    reshape,
+    softmax,
+    sum_all,
+    transpose,
+)
 
 
 def rng(seed=0):
@@ -50,6 +62,12 @@ class TestRetrievalLoss:
         with pytest.raises(IndexError):
             retrieval_loss([dist], [(4, 1)])
 
+    @pytest.mark.parametrize("target", [(-1, 2), (1, -4), (0, 4)])
+    def test_negative_or_past_end_index_does_not_wrap(self, target):
+        dist = dist_from(np.full(4, 0.25), np.full(4, 0.25))
+        with pytest.raises(IndexError):
+            retrieval_loss([dist], [target])
+
     def test_batch_averaging(self):
         n = 5
         uniform = dist_from(np.full(n, 1 / n), np.full(n, 1 / n))
@@ -84,6 +102,11 @@ class TestSegmentationLoss:
         probs = np.where(mask, 0.0, 0.5).astype(np.float32)
         with pytest.raises(ValueError, match="masked"):
             segmentation_loss([Tensor(probs)], [0], masks=[mask])
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_index_out_of_range(self, target):
+        with pytest.raises(IndexError):
+            segmentation_loss([Tensor(np.full(3, 1 / 3, dtype=np.float32))], [target])
 
     def test_zero_probability_gt_raises_without_mask(self):
         probs = np.array([0.0, 0.5, 0.5], dtype=np.float32)
@@ -126,6 +149,11 @@ class TestCaptionLoss:
         logits = Tensor(np.zeros((2, 5), dtype=np.float32))
         with pytest.raises(IndexError):
             caption_loss([logits], [[1, 5]])
+
+    def test_negative_token_does_not_wrap(self):
+        logits = Tensor(np.zeros((2, 5), dtype=np.float32))
+        with pytest.raises(IndexError):
+            caption_loss([logits], [[1, -1]])
 
     def test_batch_mean_over_captions(self):
         uniform = Tensor(np.zeros((2, 4), dtype=np.float32))
@@ -177,3 +205,118 @@ def test_losses_are_nonnegative_and_finite_on_random_valid_inputs():
         logits = Tensor(g.standard_normal((3, 6)).astype(np.float32))
         value = caption_loss([logits], [[1, 2, 3]]).item()
         assert value >= 0.0 and np.isfinite(value)
+
+
+# ---------------------------------------------------------------------------
+# The one-hot formulation each loss had before it gathered its targets with
+# ``pick``, kept as the reference: every target is a dense one-hot or select
+# mask multiplied into the log-probabilities, and the terms are chained.
+
+def _chain(terms):
+    loss = terms[0]
+    for t in terms[1:]:
+        loss = loss + t
+    return loss
+
+
+def ref_retrieval_loss(dists, targets):
+    terms = []
+    for dist, (y_start, y_end) in zip(dists, targets):
+        n = dist.p_start.shape[0]
+        terms.append(-sum_all(log_clamped(dist.p_start) * Tensor(one_hot(y_start, n))))
+        terms.append(-sum_all(log_clamped(dist.p_end) * Tensor(one_hot(y_end, n))))
+    return _chain(terms) * (1.0 / len(dists))
+
+
+def ref_segmentation_loss(step_dists, gt_steps):
+    terms = [-sum_all(log_clamped(d) * Tensor(one_hot(y, d.shape[0])))
+             for d, y in zip(step_dists, gt_steps)]
+    return _chain(terms) * (1.0 / len(terms))
+
+
+def ref_caption_loss(logit_batch, gt_tokens):
+    terms = []
+    for logits, targets in zip(logit_batch, gt_tokens):
+        select = np.zeros(logits.shape, dtype=np.float32)
+        for i, tok in enumerate(targets):
+            if tok != PAD:
+                select[i, tok] = 1.0
+        terms.append(-sum_all(log_softmax(logits) * Tensor(select)))
+    return _chain(terms) * (1.0 / len(terms))
+
+
+def ref_msp_contrastive_loss(batch_v, batch_a, tau, normalize=False):
+    if normalize:
+        batch_v, batch_a = _normalize_rows(batch_v), _normalize_rows(batch_a)
+    b = batch_v.shape[0]
+    sims = matmul(batch_v, transpose(batch_a)) * (1.0 / tau)
+    diag = Tensor(np.eye(b, dtype=np.float32))
+    loss_v2a = -sum_all(log_softmax(sims) * diag) * (1.0 / b)
+    loss_a2v = -sum_all(log_softmax(transpose(sims)) * diag) * (1.0 / b)
+    return (loss_v2a + loss_a2v) * 0.5
+
+
+LENGTHS = (5, 9, 7, 12)
+
+
+def leaf(shape, seed):
+    return Tensor((3.0 * rng(seed).standard_normal(shape)).astype(np.float32),
+                  requires_grad=True)
+
+
+def value_and_grads(loss_fn, leaves):
+    for t in leaves:
+        t.grad = None
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), [t.grad.copy() for t in leaves]
+
+
+def assert_same_loss(new_fn, ref_fn, leaves):
+    new, new_grads = value_and_grads(new_fn, leaves)
+    ref, ref_grads = value_and_grads(ref_fn, leaves)
+    assert new == pytest.approx(ref, rel=1e-6)
+    for g, r in zip(new_grads, ref_grads):
+        np.testing.assert_allclose(g, r, rtol=0, atol=1e-5)
+
+
+class TestAgainstOneHotReference:
+    """Each loss against its one-hot formulation, on batches whose
+    distributions have different lengths."""
+
+    def test_retrieval(self):
+        leaves = [leaf(n, seed) for seed, n in enumerate(LENGTHS * 2)]
+        targets = [(0, 4), (3, 8), (6, 2), (11, 11)]
+
+        def dists():
+            return [SpanDistribution(p_start=softmax(s), p_end=softmax(e))
+                    for s, e in zip(leaves[:4], leaves[4:])]
+
+        assert_same_loss(lambda: retrieval_loss(dists(), targets),
+                         lambda: ref_retrieval_loss(dists(), targets), leaves)
+
+    def test_segmentation(self):
+        leaves = [leaf(n, 10 + seed) for seed, n in enumerate(LENGTHS)]
+        masks = [np.arange(n) < k for n, k in zip(LENGTHS, (1, 3, 0, 6))]
+        targets = [4, 3, 0, 11]
+
+        def dists():
+            return [reshape(masked_softmax(reshape(x, (1, x.shape[0])), m[None, :]),
+                            (x.shape[0],)) for x, m in zip(leaves, masks)]
+
+        assert_same_loss(lambda: segmentation_loss(dists(), targets, masks),
+                         lambda: ref_segmentation_loss(dists(), targets), leaves)
+
+    def test_caption_with_pad_targets(self):
+        vocab = 9
+        leaves = [leaf((m, vocab), 20 + m) for m in (3, 6, 1, 4)]
+        targets = [[4, 5, 2], [7, PAD, 8, 3, PAD, 2], [2], [PAD, PAD, PAD, PAD]]
+        assert_same_loss(lambda: caption_loss(leaves, targets),
+                         lambda: ref_caption_loss(leaves, targets), leaves)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("b", [1, 3, 5])
+    def test_msp_contrastive(self, b, normalize):
+        v, a = leaf((b, 6), 30 + b), leaf((b, 6), 40 + b)
+        assert_same_loss(lambda: msp_contrastive_loss(v, a, 0.5, normalize),
+                         lambda: ref_msp_contrastive_loss(v, a, 0.5, normalize), [v, a])

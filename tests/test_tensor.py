@@ -21,6 +21,7 @@ from quag.tensor import (
     matmul,
     mean_axis,
     no_grad,
+    pick,
     reshape,
     sigmoid,
     slice_rows,
@@ -216,6 +217,15 @@ class TestGradCheck:
 
 
 class TestFanOutAndTape:
+    def test_first_gradient_is_an_own_c_order_copy(self):
+        x = Tensor(rand((3, 4), seed=52), requires_grad=True)
+        y = Tensor(rand((3, 4), seed=53), requires_grad=True)
+        out = transpose(x + y)
+        sum_all(out * Tensor(rand((4, 3), seed=54))).backward()
+        assert x.grad.flags.c_contiguous and y.grad.flags.c_contiguous
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(x.grad, y.grad)
+
     def test_fanout_sums_contributions(self):
         x = Tensor(rand(4, seed=14), requires_grad=True)
         err = grad_check(lambda: sum_all(x * x + x * x), [x], h=1e-3)
@@ -301,6 +311,61 @@ class TestStructuralOps:
             embed_rows(table, [6])
 
 
+class TestPick:
+    def test_values_follow_the_index_order(self):
+        a = Tensor(rand(5, seed=40))
+        b = Tensor(rand((3, 4), seed=41))
+        out = pick([a, b, a], [3, (2, 1), np.array([0, 4])])
+        np.testing.assert_array_equal(out.data, [a.data[3], b.data[2, 1], a.data[0], a.data[4]])
+
+    def test_rank1_gradient_with_an_entry_picked_twice(self):
+        x = Tensor(rand(6, seed=42), requires_grad=True)
+        w = Tensor(rand(4, seed=43))
+        err = grad_check(lambda: sum_all(pick([x], [np.array([1, 4, 1, 0])]) * w), [x], h=1e-3)
+        assert err < 1e-6
+
+    def test_rank2_gradient_with_a_tensor_listed_twice_and_a_constant(self):
+        x = Tensor(rand((3, 5), seed=44), requires_grad=True)
+        y = Tensor(rand(4, seed=45), requires_grad=True)
+        const = Tensor(rand((2, 2), seed=46))
+        rows, cols = np.array([0, 2, 2]), np.array([4, 1, 1])
+        w = Tensor(rand(6, seed=47))
+
+        def f():
+            picked = pick([x, const, y, x], [(rows, cols), (1, 0), 3, (0, 4)])
+            return sum_all(log_softmax(reshape(picked * w, (1, 6))) * w)
+
+        assert grad_check(f, [x, y], h=1e-3) < 1e-6
+
+    def test_gradient_scatter_adds(self):
+        x = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+        const = Tensor(np.ones(2, dtype=np.float32))
+        out = pick([x, const, x], [(np.array([1, 1]), np.array([2, 2])), 0, (0, 0)])
+        sum_all(out * Tensor([1.0, 2.0, 5.0, 7.0])).backward()
+        np.testing.assert_array_equal(x.grad, [[7.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+        assert const.grad is None
+
+    def test_empty_index_picks_nothing(self):
+        x = Tensor(rand((2, 3), seed=48), requires_grad=True)
+        out = pick([x], [(np.array([], dtype=int), np.array([], dtype=int))])
+        assert out.shape == (0,)
+        assert sum_all(out).item() == 0.0
+
+    @pytest.mark.parametrize("index", [5, -1, (0, 3), (np.array([0, 2]), np.array([0, 0]))])
+    def test_out_of_range_raises_index_error(self, index):
+        x = Tensor(rand(5)) if isinstance(index, int) else Tensor(rand((2, 3)))
+        with pytest.raises(IndexError):
+            pick([x], [index])
+
+    def test_index_must_address_every_axis(self):
+        with pytest.raises(ShapeError):
+            pick([Tensor(rand((2, 3)))], [1])
+        with pytest.raises(ValueError, match="one index per tensor"):
+            pick([Tensor(rand(3))], [0, 1])
+        with pytest.raises(ValueError, match="one index per tensor"):
+            pick([], [])
+
+
 class TestFusedOps:
     def test_masked_softmax_zero_probability(self):
         x = Tensor(rand((3, 4), seed=26))
@@ -356,6 +421,17 @@ class TestFusedOps:
             lambda: sum_all(layer_norm(x, gain, bias) * w), [x, gain, bias], h=1e-3
         )
         assert err < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_matches_numpy_var_bit_for_bit(self, dtype):
+        v = (rand((5, 16), seed=49) * 3.0 + 1.0).astype(dtype)
+        gain, bias = rand(16, seed=50).astype(dtype), rand(16, seed=51).astype(dtype)
+        mu = v.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(v.var(axis=-1, keepdims=True) + 1e-5)
+        expected = (v - mu) * inv * gain + bias
+        out = layer_norm(Tensor(v), Tensor(gain), Tensor(bias)).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, expected)
 
     def test_division_gradient(self):
         a = Tensor(rand(5, seed=33), requires_grad=True)
