@@ -81,7 +81,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.run_command(args)
     except (OSError, ValueError) as exc:
         # every typed error of the package (EpisodeIOError, CheckpointError,
-        # ShapeError) is a ValueError
+        # ShapeError, NonFiniteLossError) is a ValueError
         print(f"quag {args.command}: {exc}", file=sys.stderr)
         return 1
     return 0

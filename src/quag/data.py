@@ -24,7 +24,7 @@ __all__ = [
     "EpisodeIOError", "CorruptHeaderError", "TruncatedPayloadError",
     "InvariantViolationError",
     "Vocabulary", "EpisodeRecord", "DatasetManifest", "SyntheticSpec",
-    "tokenize", "step_frame_spans",
+    "step_frame_spans",
     "write_episode", "load_episode",
     "write_manifest", "load_manifest",
     "generate_synthetic_dataset", "planted_structure", "matched_filter_span",
@@ -53,11 +53,6 @@ class InvariantViolationError(EpisodeIOError):
     pass
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase whitespace tokenization."""
-    return text.lower().split()
-
-
 class Vocabulary:
     """Newline-delimited token list where the line number is the token id."""
 
@@ -65,8 +60,7 @@ class Vocabulary:
         self.tokens = list(tokens)
         if self.tokens[: len(_SPECIALS)] != _SPECIALS:
             raise ValueError(f"vocabulary must start with the special tokens {_SPECIALS}")
-        self._ids = {t: i for i, t in enumerate(self.tokens)}
-        if len(self._ids) != len(self.tokens):
+        if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("vocabulary contains duplicate tokens")
 
     def __len__(self) -> int:
@@ -75,17 +69,6 @@ class Vocabulary:
     @classmethod
     def from_words(cls, words: Sequence[str]) -> "Vocabulary":
         return cls(_SPECIALS + list(words))
-
-    @classmethod
-    def build(cls, texts: Sequence[str]) -> "Vocabulary":
-        words = sorted({tok for text in texts for tok in tokenize(text)})
-        return cls.from_words(words)
-
-    def encode(self, text: str) -> list[int]:
-        return [self._ids.get(tok, UNK) for tok in tokenize(text)]
-
-    def decode(self, ids: Sequence[int]) -> str:
-        return " ".join(self.tokens[i] for i in ids)
 
     def save(self, path: Path) -> None:
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")

@@ -36,7 +36,6 @@ from quag.tensor import (
     no_grad,
     reshape,
     slice_rows,
-    softmax,
 )
 
 __all__ = [
@@ -65,8 +64,8 @@ def predict_moment_span(frames: Tensor, start_head: LinearLayer,
     n = frames.shape[0]
     if n < 2:
         raise ShapeError(f"moment span prediction needs >= 2 frames, got {n}")
-    p_start = softmax(reshape(linear(frames, start_head), (n,)))
-    p_end = softmax(reshape(linear(frames, end_head), (n,)))
+    p_start = masked_softmax(reshape(linear(frames, start_head), (n,)))
+    p_end = masked_softmax(reshape(linear(frames, end_head), (n,)))
     return SpanDistribution(p_start=p_start, p_end=p_end)
 
 

@@ -22,7 +22,6 @@ from quag.tensor import (
     matmul,
     mul,
     reshape,
-    softmax,
     transpose,
 )
 
@@ -179,7 +178,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, attn: MultiHeadAttention,
     [..., h, Lq, Lk].
     """
     scores = matmul(q, k) * (1.0 / math.sqrt(q.shape[-1]))
-    w = softmax(scores) if mask is None else masked_softmax(scores, mask)
+    w = masked_softmax(scores, mask)
     ctx = matmul(w, v)
     if ctx.shape[-2] > 1:
         ctx = transpose(ctx, (1, 0, 2))
@@ -189,6 +188,15 @@ def attend(q: Tensor, k: Tensor, v: Tensor, attn: MultiHeadAttention,
 def causal_mask(length: int) -> np.ndarray:
     """Boolean [L x L] mask excluding positions after each query index."""
     return np.triu(np.ones((length, length), dtype=bool), k=1)
+
+
+def _ffn_width(dim: int, ffn_dim: Optional[int]) -> int:
+    """The feed-forward width: ``ffn_dim``, or ``4 * dim`` when it is None."""
+    if ffn_dim is None:
+        return 4 * dim
+    if ffn_dim < 1:
+        raise ValueError(f"ffn_dim must be >= 1, or None for 4 * dim, got {ffn_dim}")
+    return ffn_dim
 
 
 class EncoderBlock:
@@ -206,7 +214,7 @@ class EncoderBlock:
     @classmethod
     def create(cls, rng: np.random.Generator, dim: int, n_heads: int,
                ffn_dim: Optional[int] = None) -> "EncoderBlock":
-        ffn_dim = ffn_dim or 4 * dim
+        ffn_dim = _ffn_width(dim, ffn_dim)
         return cls(
             MultiHeadAttention.create(rng, dim, n_heads),
             LinearLayer.create(rng, dim, ffn_dim),
@@ -259,7 +267,7 @@ class DecoderBlock:
     @classmethod
     def create(cls, rng: np.random.Generator, dim: int, n_heads: int,
                ffn_dim: Optional[int] = None) -> "DecoderBlock":
-        ffn_dim = ffn_dim or 4 * dim
+        ffn_dim = _ffn_width(dim, ffn_dim)
         return cls(
             MultiHeadAttention.create(rng, dim, n_heads),
             MultiHeadAttention.create(rng, dim, n_heads),

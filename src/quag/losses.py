@@ -13,7 +13,7 @@ trade-off weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from quag.tensor import Tensor, log_clamped, log_softmax, pick, sum_all
 
 __all__ = [
     "TASKS",
+    "NonFiniteLossError",
     "LossBundle",
     "retrieval_loss",
     "segmentation_loss",
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 TASKS = ("ret", "seg", "cap")
+
+
+class NonFiniteLossError(ValueError):
+    """A loss or gradient stopped being finite; training aborts."""
 
 
 @dataclass
@@ -53,23 +58,22 @@ def retrieval_loss(dists: Sequence[SpanDistribution],
 
 
 def segmentation_loss(step_dists: Sequence[Tensor], gt_steps: Sequence[int],
-                      masks: Optional[Sequence[np.ndarray]] = None) -> Tensor:
+                      masks: Sequence[np.ndarray]) -> Tensor:
     """Batch-mean NLL over step-prediction instances.
 
-    A ground-truth index that is masked in its distribution signals an
+    ``masks[i]`` marks the frames excluded from instance ``i``'s
+    distribution. A ground-truth index that is masked signals an
     inconsistency between the mask and the annotations and raises instead of
     silently producing a clamped log.
     """
-    if len(step_dists) != len(gt_steps) or not step_dists:
+    if not (len(step_dists) == len(gt_steps) == len(masks)) or not step_dists:
         raise ValueError("segmentation_loss needs matching, non-empty batches")
-    for i, (dist, y) in enumerate(zip(step_dists, gt_steps)):
+    for i, (dist, y, mask) in enumerate(zip(step_dists, gt_steps, masks)):
         n = dist.shape[0]
         if not (0 <= y < n):
             raise IndexError(f"step index {y} out of range for {n} frames")
-        if masks is not None and masks[i][y]:
+        if mask[y]:
             raise ValueError(f"instance {i}: ground-truth step {y} is masked out")
-        if masks is None and dist.data[y] == 0.0:
-            raise ValueError(f"instance {i}: ground-truth step {y} has zero probability")
     return sum_all(log_clamped(pick(step_dists, gt_steps))) * (-1.0 / len(step_dists))
 
 
@@ -100,5 +104,5 @@ def total_loss(task: str, task_loss: Tensor, msp_loss: Tensor, lam: float) -> Lo
     total = task_loss + msp_loss * lam
     for name, value in (("task", task_loss), ("msp", msp_loss), ("total", total)):
         if not np.isfinite(value.data).all():
-            raise FloatingPointError(f"{name} loss is not finite")
+            raise NonFiniteLossError(f"{name} loss is not finite")
     return LossBundle(task=task, task_loss=task_loss, msp_loss=msp_loss, total=total, lam=lam)

@@ -25,11 +25,7 @@ __all__ = [
     "ComputationTape",
     "ShapeError",
     "no_grad",
-    "tensor",
-    "zeros",
     "ones",
-    "full",
-    "eye",
     "matmul",
     "transpose",
     "reshape",
@@ -38,7 +34,6 @@ __all__ = [
     "slice_rows",
     "mean_axis",
     "sum_all",
-    "softmax",
     "masked_softmax",
     "log_softmax",
     "log_clamped",
@@ -109,15 +104,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run one reverse traversal, accumulating gradients into leaves."""
@@ -462,26 +448,17 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        _accumulate(x, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
-
-    return _node(s, (x,), backward)
-
-
-def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis where ``mask`` (True = excluded) entries get
-    exactly zero probability. Every slice must keep at least one entry."""
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    if m.all(axis=-1).any():
-        raise ValueError("masked_softmax: a slice has every position masked")
-    neg = np.where(m, -np.inf, x.data)
-    z = neg - neg.max(axis=-1, keepdims=True)
+def masked_softmax(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Softmax over the last axis, computed with max-subtraction. Entries
+    where ``mask`` is True are excluded and get exactly zero probability;
+    every slice must keep at least one entry."""
+    v = x.data
+    if mask is not None:
+        m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        if m.all(axis=-1).any():
+            raise ValueError("masked_softmax: a slice has every position masked")
+        v = np.where(m, -np.inf, v)
+    z = v - v.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
 
@@ -588,24 +565,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # ---------------------------------------------------------------------------
 # creation helpers
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
 def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=np.float32), requires_grad=requires_grad)
-
-
-def eye(n: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.eye(n, dtype=np.float32), requires_grad=requires_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ import numpy as np
 
 from quag.data import BOS, EOS, DatasetManifest, EpisodeRecord, step_frame_spans
 from quag.heads import StepBoundaryState, predict_moment_span, step_distribution
-from quag.losses import TASKS, LossBundle, caption_loss, retrieval_loss, segmentation_loss, total_loss
+from quag.losses import (TASKS, LossBundle, NonFiniteLossError, caption_loss, retrieval_loss,
+                         segmentation_loss, total_loss)
 from quag.model import ModelConfig, QuagParams, encode_trunk
 from quag.msp import msp_contrastive_loss
 from quag.tensor import Tensor, slice_rows, stack_rows
@@ -45,10 +46,6 @@ __all__ = [
 CHECKPOINT_MAGIC = b"QGCK"
 CHECKPOINT_VERSION = 2
 _SLICE = 1 << 14  # AdamW elements per slice: 128 KiB of float64
-
-
-class NonFiniteLossError(RuntimeError):
-    """A loss or gradient stopped being finite; training aborts."""
 
 
 class CheckpointError(ValueError):
@@ -139,32 +136,23 @@ class AdamW:
 
 @dataclass
 class TrainSchedule:
-    """Round-robin plan: the fixed task cycle and per-epoch iteration count."""
+    """Round-robin plan over ``TASKS``: iterations per epoch and epochs."""
 
     iterations_per_epoch: int
     epochs: int
-    lam: float
-    batch_size: int
-    seed: int
-    task_cycle: tuple[str, ...] = TASKS
 
     def task_at(self, iteration: int) -> str:
-        return self.task_cycle[iteration % len(self.task_cycle)]
+        return TASKS[iteration % len(TASKS)]
 
     @classmethod
     def for_dataset(cls, config: ModelConfig, n_episodes: int) -> "TrainSchedule":
         n_batches = max(1, -(-n_episodes // config.batch_size))
-        return cls(
-            iterations_per_epoch=len(TASKS) * n_batches,
-            epochs=config.epochs,
-            lam=config.lam,
-            batch_size=config.batch_size,
-            seed=config.seed,
-        )
+        return cls(iterations_per_epoch=len(TASKS) * n_batches, epochs=config.epochs)
 
 
 class TaskLoaders:
-    """Deterministic per-(epoch, task) batch streams that wrap around."""
+    """Deterministic per-(epoch, task) batch orders: each epoch's batches
+    are one pass over a fresh permutation of the episodes."""
 
     def __init__(self, episodes: Sequence[EpisodeRecord], batch_size: int, seed: int):
         if not episodes:
@@ -254,24 +242,25 @@ def round_robin_epoch(model: QuagParams, loaders: TaskLoaders, schedule: TrainSc
                       optimizer: AdamW, epoch: int,
                       on_iteration: Optional[Callable[[int, LossBundle], None]] = None,
                       ) -> dict[str, float]:
-    """Cycle ret -> seg -> cap, one batch per iteration; returns per-task means."""
-    streams = {task: loaders.epoch_batches(task, epoch) for task in schedule.task_cycle}
-    cursors = {task: 0 for task in schedule.task_cycle}
-    sums = {task: 0.0 for task in schedule.task_cycle}
-    counts = {task: 0 for task in schedule.task_cycle}
-    drop_rng = np.random.default_rng(np.random.SeedSequence((schedule.seed, epoch, 997))) \
-        if model.config.dropout > 0 else None
+    """Cycle ret -> seg -> cap, one batch per iteration; returns per-task means.
+
+    Iteration ``i`` trains on batch ``i // len(TASKS)`` of its task's epoch
+    batches; ``lam`` and the dropout seed come from ``model.config``.
+    """
+    config = model.config
+    streams = {task: loaders.epoch_batches(task, epoch) for task in TASKS}
+    losses: dict[str, list[float]] = {task: [] for task in TASKS}
+    drop_rng = np.random.default_rng(np.random.SeedSequence((config.seed, epoch, 997))) \
+        if config.dropout > 0 else None
     for i in range(schedule.iterations_per_epoch):
         task = schedule.task_at(i)
         batches = streams[task]
-        batch = batches[cursors[task] % len(batches)]
-        cursors[task] += 1
-        bundle = train_step(batch, model, optimizer, task, schedule.lam, drop_rng)
-        sums[task] += bundle.task_loss.item()
-        counts[task] += 1
+        bundle = train_step(batches[(i // len(TASKS)) % len(batches)], model, optimizer, task,
+                            config.lam, drop_rng)
+        losses[task].append(bundle.task_loss.item())
         if on_iteration is not None:
             on_iteration(i, bundle)
-    return {task: sums[task] / max(1, counts[task]) for task in schedule.task_cycle}
+    return {task: sum(values) / max(1, len(values)) for task, values in losses.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +444,13 @@ def _log_lines_before(log_path: Path, epoch: int) -> list[str]:
 
 
 def train(config: ModelConfig, manifest: DatasetManifest, out_dir: Path,
-          resume_from: Optional[Path] = None,
-          on_epoch: Optional[Callable[[int, dict[str, float]], None]] = None) -> TrainResult:
+          resume_from: Optional[Path] = None) -> TrainResult:
     """Initialize from the seed, run scheduled epochs, write checkpoint + log.
 
-    The metrics log holds one JSON object per iteration. On a non-finite loss
-    or gradient the run aborts and the last epoch-end checkpoint stays on
-    disk as the most recent good state. A run resumed into a directory that
+    The metrics log holds one JSON object per iteration, and a checkpoint is
+    written at the end of every epoch. A non-finite loss or gradient raises
+    ``NonFiniteLossError``; the last epoch-end checkpoint then stays on disk
+    as the most recent good state. A run resumed into a directory that
     already has a log keeps its lines for the epochs before the checkpoint's
     and writes the rest anew, so the log reads as if the run never stopped.
     """
@@ -507,8 +496,6 @@ def train(config: ModelConfig, manifest: DatasetManifest, out_dir: Path,
             means = round_robin_epoch(model, loaders, schedule, optimizer, epoch, record)
             log.flush()
             save_checkpoint(checkpoint_path, config, model, optimizer, epoch + 1)
-            if on_epoch is not None:
-                on_epoch(epoch, means)
     if not checkpoint_path.exists():
         save_checkpoint(checkpoint_path, config, model, optimizer, start_epoch)
     return TrainResult(

@@ -1,6 +1,8 @@
 import json
 from dataclasses import asdict
 
+import pytest
+
 from conftest import TINY_MODEL, TINY_SPEC
 from quag.cli import main
 from quag.data import load_manifest
@@ -60,3 +62,19 @@ def test_zero_heads_config_exits_1(tmp_path, capsys):
     assert main(["train", str(tmp_path / "corpus" / "manifest.json"), str(tmp_path / "run"),
                  "--config", str(config)]) == 1
     assert "n_heads" in capsys.readouterr().err
+
+
+def test_diverging_run_exits_1(tmp_path, capsys):
+    # lr=1e30 overflows the weights after the first step; numpy warns on the
+    # way, and the non-finite loss is reported, not raised
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(asdict(TINY_SPEC)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1, "lr": 1e30}))
+    corpus = tmp_path / "corpus"
+    assert main(["gen", str(corpus), "--spec", str(spec)]) == 0
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning):
+        assert main(["train", str(corpus / "manifest.json"), str(tmp_path / "run"),
+                     "--config", str(config)]) == 1
+    assert "not finite" in capsys.readouterr().err

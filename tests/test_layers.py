@@ -251,3 +251,16 @@ def test_parameter_names_are_unique_and_ordered():
     names = [n for n, _ in block.named_params("dec")]
     assert len(names) == len(set(names))
     assert names[0] == "dec.self_attn.wq"
+
+
+@pytest.mark.parametrize("block_cls", [EncoderBlock, DecoderBlock])
+class TestFeedForwardWidth:
+    def test_none_means_four_times_dim_and_a_width_is_kept(self, block_cls):
+        assert block_cls.create(rng(41), 8, 2).ffn_in.weight.shape == (8, 32)
+        block = block_cls.create(rng(41), 8, 2, 3)
+        assert block.ffn_in.weight.shape == (8, 3) and block.ffn_out.weight.shape == (3, 8)
+
+    @pytest.mark.parametrize("ffn_dim", [0, -3])
+    def test_width_below_one_rejected(self, block_cls, ffn_dim):
+        with pytest.raises(ValueError, match="ffn_dim"):
+            block_cls.create(rng(42), 8, 2, ffn_dim)

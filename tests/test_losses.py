@@ -5,7 +5,8 @@ import pytest
 
 from quag.data import PAD
 from quag.heads import SpanDistribution
-from quag.losses import LossBundle, caption_loss, retrieval_loss, segmentation_loss, total_loss
+from quag.losses import (LossBundle, NonFiniteLossError, caption_loss, retrieval_loss,
+                         segmentation_loss, total_loss)
 from quag.msp import _normalize_rows, msp_contrastive_loss
 from quag.tensor import (
     Tensor,
@@ -15,7 +16,6 @@ from quag.tensor import (
     masked_softmax,
     matmul,
     reshape,
-    softmax,
     sum_all,
     transpose,
 )
@@ -80,7 +80,8 @@ class TestRetrievalLoss:
         logits_e = Tensor(rng(2).standard_normal(6).astype(np.float32), requires_grad=True)
 
         def f():
-            dist = SpanDistribution(p_start=softmax(logits_s), p_end=softmax(logits_e))
+            dist = SpanDistribution(p_start=masked_softmax(logits_s),
+                                    p_end=masked_softmax(logits_e))
             return retrieval_loss([dist], [(2, 5)])
 
         assert grad_check(f, [logits_s, logits_e], h=1e-3) < 1e-4
@@ -89,7 +90,8 @@ class TestRetrievalLoss:
 class TestSegmentationLoss:
     def test_perfect_prediction_is_zero(self):
         dist = Tensor(one_hot(3, 6))
-        assert segmentation_loss([dist], [3]).item() == pytest.approx(0.0, abs=1e-7)
+        loss = segmentation_loss([dist], [3], [np.zeros(6, dtype=bool)])
+        assert loss.item() == pytest.approx(0.0, abs=1e-7)
 
     def test_uniform_over_unmasked(self):
         mask = np.array([True, False, False, False, False, False, True, True])
@@ -103,15 +105,16 @@ class TestSegmentationLoss:
         with pytest.raises(ValueError, match="masked"):
             segmentation_loss([Tensor(probs)], [0], masks=[mask])
 
+    def test_one_mask_per_instance(self):
+        dist = Tensor(np.full(3, 1 / 3, dtype=np.float32))
+        with pytest.raises(ValueError, match="matching"):
+            segmentation_loss([dist, dist], [0, 1], [np.zeros(3, dtype=bool)])
+
     @pytest.mark.parametrize("target", [-1, 3])
     def test_index_out_of_range(self, target):
         with pytest.raises(IndexError):
-            segmentation_loss([Tensor(np.full(3, 1 / 3, dtype=np.float32))], [target])
-
-    def test_zero_probability_gt_raises_without_mask(self):
-        probs = np.array([0.0, 0.5, 0.5], dtype=np.float32)
-        with pytest.raises(ValueError, match="zero probability"):
-            segmentation_loss([Tensor(probs)], [0])
+            segmentation_loss([Tensor(np.full(3, 1 / 3, dtype=np.float32))], [target],
+                              [np.zeros(3, dtype=bool)])
 
     def test_gradient_through_masked_softmax(self):
         logits = Tensor(rng(3).standard_normal(7).astype(np.float32), requires_grad=True)
@@ -192,14 +195,14 @@ class TestTotalLoss:
             total_loss("foo", Tensor(1.0), Tensor(1.0), 0.1)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(NonFiniteLossError):
             total_loss("ret", Tensor(float("nan")), Tensor(1.0), 0.1)
 
 
 def test_losses_are_nonnegative_and_finite_on_random_valid_inputs():
     for seed in range(5):
         g = rng(seed)
-        probs = softmax(Tensor(g.standard_normal((4,)).astype(np.float32)))
+        probs = masked_softmax(Tensor(g.standard_normal((4,)).astype(np.float32)))
         dist = SpanDistribution(p_start=probs, p_end=probs)
         assert retrieval_loss([dist], [(1, 2)]).item() >= 0.0
         logits = Tensor(g.standard_normal((3, 6)).astype(np.float32))
@@ -289,7 +292,7 @@ class TestAgainstOneHotReference:
         targets = [(0, 4), (3, 8), (6, 2), (11, 11)]
 
         def dists():
-            return [SpanDistribution(p_start=softmax(s), p_end=softmax(e))
+            return [SpanDistribution(p_start=masked_softmax(s), p_end=masked_softmax(e))
                     for s, e in zip(leaves[:4], leaves[4:])]
 
         assert_same_loss(lambda: retrieval_loss(dists(), targets),

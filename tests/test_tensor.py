@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quag import tensor as T
 from quag.tensor import (
     ComputationTape,
     ShapeError,
     Tensor,
     concat_last,
     embed_rows,
-    eye,
     gelu,
     grad_check,
     layer_norm,
@@ -25,7 +25,6 @@ from quag.tensor import (
     reshape,
     sigmoid,
     slice_rows,
-    softmax,
     stack_rows,
     sum_all,
     transpose,
@@ -36,10 +35,23 @@ def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
 
 
+def softmax(x: Tensor) -> Tensor:
+    """The unmasked softmax op that ``masked_softmax(x)`` replaced, kept as
+    the reference it must equal bit for bit."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        T._accumulate(x, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
+
+    return T._node(s, (x,), backward)
+
+
 class TestMatmul:
     def test_identity(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = matmul(eye(2), a)
+        out = matmul(Tensor(np.eye(2, dtype=np.float32)), a)
         np.testing.assert_allclose(out.data, a.data)
 
     def test_dot_product(self):
@@ -84,29 +96,49 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        out = softmax(Tensor([0.0, 0.0, 0.0]))
+        out = masked_softmax(Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-7)
 
     def test_stability_under_large_logits(self):
-        out = softmax(Tensor([1000.0, 1000.0]))
+        out = masked_softmax(Tensor([1000.0, 1000.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5])
 
     def test_closed_form(self):
-        out = softmax(Tensor([0.0, math.log(3.0)]))
+        out = masked_softmax(Tensor([0.0, math.log(3.0)]))
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-6)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_simplex_property(self, logits):
-        out = softmax(Tensor(logits)).data
+        out = masked_softmax(Tensor(logits)).data
         assert (out >= 0).all()
         assert abs(out.sum() - 1.0) < 1e-6
 
     def test_gradient(self):
         x = Tensor(rand((2, 5), seed=3), requires_grad=True)
         w = Tensor(rand((2, 5), seed=4))
-        err = grad_check(lambda: sum_all(softmax(x) * w), [x], h=1e-3)
+        err = grad_check(lambda: sum_all(masked_softmax(x) * w), [x], h=1e-3)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 6)])
+    def test_unmasked_matches_reference_bit_for_bit(self, dtype, shape):
+        # no mask and an all-False mask both give exactly the old softmax op's
+        # values and gradients
+        logits = (rand(shape, seed=40) * 30).astype(dtype)
+        w = rand(shape, seed=41).astype(dtype)
+        outs, grads = [], []
+        for op in (softmax, masked_softmax,
+                   lambda t: masked_softmax(t, np.zeros(shape, dtype=bool))):
+            x = Tensor(logits.copy(), requires_grad=True)
+            out = op(x)
+            sum_all(out * Tensor(w)).backward()
+            outs.append(out.data)
+            grads.append(x.grad)
+        for out, grad in zip(outs[1:], grads[1:]):
+            assert out.dtype == grad.dtype == dtype
+            np.testing.assert_array_equal(out, outs[0])
+            np.testing.assert_array_equal(grad, grads[0])
 
 
 class TestSigmoid:
@@ -390,7 +422,7 @@ class TestFusedOps:
     def test_log_softmax_matches_log_of_softmax(self):
         x = Tensor(rand(7, seed=29))
         np.testing.assert_allclose(
-            log_softmax(x).data, np.log(softmax(x).data), atol=1e-6
+            log_softmax(x).data, np.log(masked_softmax(x).data), atol=1e-6
         )
 
     def test_log_clamped(self):
@@ -455,7 +487,7 @@ class TestFusedOps:
 def test_forward_values_stay_finite_on_finite_inputs():
     rng = np.random.default_rng(39)
     x = Tensor(rng.standard_normal((4, 6)).astype(np.float32) * 50)
-    for out in (softmax(x), sigmoid(x), gelu(x), mean_axis(x, 0)):
+    for out in (masked_softmax(x), sigmoid(x), gelu(x), mean_axis(x, 0)):
         assert np.isfinite(out.data).all()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import signal
 import struct
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config
 from quag import trainer
+from quag.losses import TASKS, total_loss
 from quag.model import QuagParams, predict
 from quag.tensor import Tensor, sum_all
 from quag.trainer import (
@@ -113,14 +115,12 @@ class TestAdamW:
 
 class TestSchedule:
     def test_cycle_order(self):
-        schedule = TrainSchedule(iterations_per_epoch=6, epochs=1, lam=0.1,
-                                 batch_size=4, seed=0)
+        schedule = TrainSchedule(iterations_per_epoch=6, epochs=1)
         assert [schedule.task_at(i) for i in range(6)] == \
             ["ret", "seg", "cap", "ret", "seg", "cap"]
 
     def test_every_window_of_three_touches_each_task_once(self):
-        schedule = TrainSchedule(iterations_per_epoch=12, epochs=1, lam=0.1,
-                                 batch_size=4, seed=0)
+        schedule = TrainSchedule(iterations_per_epoch=12, epochs=1)
         tasks = [schedule.task_at(i) for i in range(12)]
         for i in range(0, 12, 3):
             assert sorted(tasks[i:i + 3]) == ["cap", "ret", "seg"]
@@ -143,6 +143,31 @@ class TestSchedule:
 
 
 class TestRoundRobin:
+    @pytest.mark.parametrize("batch_size", [2, 4])
+    def test_each_task_gets_each_epoch_batch_once(self, tiny_corpus, monkeypatch, batch_size):
+        # 6 episodes: a batch size of 2 divides them, 4 leaves a short batch
+        episodes = [dataclasses.replace(ep, id=f"{ep.id}.{k}")
+                    for k in range(2) for ep in tiny_corpus.load_episodes()][:6]
+        config = tiny_config(tiny_corpus, batch_size=batch_size)
+        schedule = TrainSchedule.for_dataset(config, len(episodes))
+        loaders = TaskLoaders(episodes, config.batch_size, config.seed)
+        seen = []
+
+        def record(batch, model, optimizer, task, lam, rng=None):
+            seen.append((task, tuple(ep.id for ep in batch)))
+            return total_loss(task, Tensor(np.float32(1.0)), Tensor(np.float32(0.0)), lam)
+
+        monkeypatch.setattr(trainer, "train_step", record)
+        model = QuagParams(config)
+        for epoch in range(2):
+            seen.clear()
+            round_robin_epoch(model, loaders, schedule, AdamW.for_model(model), epoch)
+            assert len(seen) == schedule.iterations_per_epoch
+            for task in TASKS:
+                expected = [tuple(ep.id for ep in b) for b in loaders.epoch_batches(task, epoch)]
+                assert sorted(ids for t, ids in seen if t == task) == sorted(expected)
+                assert len(set(expected)) == len(expected) == -(-len(episodes) // batch_size)
+
     def test_frozen_optimizer_leaves_params_bit_identical(self, tiny_corpus):
         config = tiny_config(tiny_corpus, lr=0.0, epochs=1)
         episodes = tiny_corpus.load_episodes()
