@@ -15,45 +15,41 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
-from quag.data import SyntheticSpec, generate_synthetic_dataset, load_manifest
+import numpy as np
+
+from quag.data import SyntheticSpec, generate_synthetic_dataset, load_json_fields, load_manifest
 from quag.model import ModelConfig, predict
 from quag.trainer import load_params_for_eval, train
 
 __all__ = ["main"]
 
 
-def _fields(path: Optional[Path], cls) -> dict:
-    """The JSON object at ``path`` (empty without one), checked to hold only
-    fields of the dataclass ``cls``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
-    if not isinstance(doc, dict) or set(doc) - {f.name for f in fields(cls)}:
-        raise ValueError(f"{path}: expected a JSON object of {cls.__name__} fields")
-    return doc
-
-
 def _gen(args) -> None:
-    spec = SyntheticSpec(**_fields(args.spec, SyntheticSpec))
+    spec = SyntheticSpec(**(load_json_fields(args.spec, SyntheticSpec) if args.spec else {}))
     generate_synthetic_dataset(Path(args.out), spec)
     print(Path(args.out) / "manifest.json")
 
 
 def _train(args) -> None:
     manifest = load_manifest(args.manifest)
-    base = ModelConfig.desk_scale(**_fields(args.config, ModelConfig))
+    base = ModelConfig.desk_scale(
+        **(load_json_fields(args.config, ModelConfig) if args.config else {}))
     config = ModelConfig.for_manifest(manifest, base=base)
     resume = Path(args.resume) if args.resume else None
-    result = train(config, manifest, Path(args.run), resume_from=resume)
+    # the non-finite checks report a diverging run; numpy's warnings would repeat it
+    with np.errstate(all="ignore"):
+        result = train(config, manifest, Path(args.run), resume_from=resume)
     print(result.checkpoint_path)
 
 
 def _predict(args) -> None:
     manifest = load_manifest(args.manifest)
     run = Path(args.run)
-    config = ModelConfig.from_dict(_fields(run / "config.json", ModelConfig))
+    config = ModelConfig.from_dict(load_json_fields(run / "config.json", ModelConfig))
     model = load_params_for_eval(run / "checkpoint.qgck", config)
     for episode in manifest.load_episodes():
         print(json.dumps(asdict(predict(episode, model))))

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,7 +26,7 @@ __all__ = [
     "Vocabulary", "EpisodeRecord", "DatasetManifest", "SyntheticSpec",
     "step_frame_spans",
     "write_episode", "load_episode",
-    "write_manifest", "load_manifest",
+    "write_manifest", "load_manifest", "load_json_fields",
     "generate_synthetic_dataset", "planted_structure", "matched_filter_span",
 ]
 
@@ -75,8 +75,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        return cls(Path(path).read_text(encoding="utf-8").splitlines())
 
 
 def step_frame_spans(moment_start: int, boundaries: Sequence[int]) -> list[tuple[int, int]]:
@@ -167,11 +166,7 @@ def write_episode(record: EpisodeRecord, path: Path) -> None:
     """Serialize a validated record; the byte stream is a pure function of it."""
     record.validate()
     meta = json.dumps(_meta_dict(record), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
-    blob += struct.pack("<I", len(meta))
-    blob += meta
+    blob = bytearray(MAGIC + struct.pack("<II", FORMAT_VERSION, len(meta)) + meta)
     for arr in (record.visual, record.audio, record.query):
         blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     Path(path).write_bytes(bytes(blob))
@@ -256,6 +251,7 @@ class DatasetManifest:
         return Path(self.root) / rel
 
     def load_episodes(self) -> list[EpisodeRecord]:
+        vocab_size = len(self.load_vocabulary())
         records = []
         for rel in self.episode_paths:
             rec = load_episode(self.resolve(rel))
@@ -264,6 +260,9 @@ class DatasetManifest:
                 raise InvariantViolationError(
                     f"{rel}: feature dims disagree with manifest"
                 )
+            if any(t >= vocab_size for cap in rec.captions for t in cap):
+                raise InvariantViolationError(
+                    f"{rel}: caption token id outside the vocabulary of size {vocab_size}")
             records.append(rec)
         return records
 
@@ -276,15 +275,46 @@ def write_manifest(manifest: DatasetManifest, path: Path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a type hint; an int fits a float."""
+    if get_origin(hint) is Union:
+        return any(_fits(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    kinds = (int, float) if hint is float else hint
+    return isinstance(value, kinds) and (hint is bool or not isinstance(value, bool))
+
+
+def load_json_fields(path: Path, cls, error: type[ValueError] = ValueError) -> dict:
+    """The JSON object in the file at ``path``, checked to fit the dataclass
+    ``cls``: known names, every field without a default, values of the
+    fields' types. ``Path`` fields are not read. A misfit raises ``error``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object of {cls.__name__} fields")
+    hints = get_type_hints(cls)
+    unknown = set(doc) - {f.name for f in fields(cls) if hints[f.name] is not Path}
+    missing = {f.name for f in fields(cls)
+               if f.default is MISSING and f.default_factory is MISSING} - set(doc)
+    if unknown or missing:
+        raise error(f"{path}: {cls.__name__} fields unknown {sorted(unknown)}, "
+                    f"missing {sorted(missing)}")
+    for name, value in doc.items():
+        if not _fits(value, hints[name]):
+            raise error(f"{path}: {cls.__name__} field {name!r} cannot be {value!r}")
+    return doc
+
+
 def load_manifest(path: Path) -> DatasetManifest:
     path = Path(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = load_json_fields(path, DatasetManifest, EpisodeIOError)
     manifest = DatasetManifest(root=path.parent, **doc)
-    for rel in manifest.episode_paths:
+    for rel in [*manifest.episode_paths, manifest.vocab_path]:
         if not manifest.resolve(rel).exists():
             raise EpisodeIOError(f"manifest references missing file {rel}")
-    if not manifest.resolve(manifest.vocab_path).exists():
-        raise EpisodeIOError(f"manifest references missing vocabulary {manifest.vocab_path}")
     return manifest
 
 

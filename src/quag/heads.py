@@ -26,7 +26,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from quag.data import BOS, EOS
-from quag.layers import DecoderBlock, LinearLayer, linear
+from quag.layers import DecoderBlock, LinearLayer, linear, xavier_uniform
 from quag.tensor import (
     ShapeError,
     Tensor,
@@ -117,9 +117,6 @@ class StepBoundaryState:
         idx = np.arange(self.n_frames)
         return (idx <= self.last_boundary) | (idx > self.span[1])
 
-    def candidates_remain(self) -> bool:
-        return self.last_boundary < self.span[1]
-
     def commit(self, boundary: int) -> None:
         if not (self.last_boundary < boundary <= self.span[1]):
             raise ValueError(
@@ -160,12 +157,10 @@ def predict_step_boundaries(frames: Tensor, span: tuple[int, int],
     state = StepBoundaryState(span=span, n_frames=frames.shape[0])
     end = span[1]
     for _ in range(max_steps):
-        if not state.candidates_remain():
+        if state.last_boundary == end:
             break
         probs = step_distribution(frames, state, step_head, marker)
         state.commit(int(np.argmax(probs.data)))
-        if state.last_boundary == end:
-            break
     bounds = state.boundaries
     if not bounds or bounds[-1] != end:
         if len(bounds) < max_steps:
@@ -189,8 +184,6 @@ class CaptionDecoder:
     def create(cls, rng: np.random.Generator, vocab_size: int, dim: int, n_heads: int,
                n_layers: int, max_positions: int,
                ffn_dim: Optional[int] = None) -> "CaptionDecoder":
-        from quag.layers import xavier_uniform
-
         return cls(
             Tensor(xavier_uniform(rng, vocab_size, dim), requires_grad=True),
             Tensor(xavier_uniform(rng, max_positions, dim), requires_grad=True),

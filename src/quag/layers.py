@@ -41,11 +41,9 @@ __all__ = [
 ]
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
+def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:

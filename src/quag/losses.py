@@ -44,7 +44,6 @@ class LossBundle:
     task_loss: Tensor
     msp_loss: Tensor
     total: Tensor
-    lam: float
 
 
 def retrieval_loss(dists: Sequence[SpanDistribution],
@@ -105,4 +104,4 @@ def total_loss(task: str, task_loss: Tensor, msp_loss: Tensor, lam: float) -> Lo
     for name, value in (("task", task_loss), ("msp", msp_loss), ("total", total)):
         if not np.isfinite(value.data).all():
             raise NonFiniteLossError(f"{name} loss is not finite")
-    return LossBundle(task=task, task_loss=task_loss, msp_loss=msp_loss, total=total, lam=lam)
+    return LossBundle(task=task, task_loss=task_loss, msp_loss=msp_loss, total=total)

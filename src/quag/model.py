@@ -27,7 +27,7 @@ from quag.heads import (
     predict_moment_span,
     predict_step_boundaries,
 )
-from quag.layers import EncoderBlock, LinearLayer, encoder_forward
+from quag.layers import EncoderBlock, LinearLayer, encoder_forward, xavier_uniform
 from quag.msp import MspParams, cross_modal_interact, fuse_audio_visual, global_pool
 from quag.qc2 import Qc2Params, apply_filtration, build_query_centric_repr, compute_gates, fuse_query_context
 from quag.tensor import ShapeError, Tensor, no_grad, slice_rows
@@ -166,13 +166,11 @@ class QuagParams:
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         d = config.d_model
-        from quag.layers import xavier_uniform
-
         self.proj_visual = LinearLayer.create(rng, config.visual_dim, d)
         self.proj_audio = LinearLayer.create(rng, config.audio_dim, d)
         self.proj_query = LinearLayer.create(rng, config.query_dim, d)
         self.pos_embed = Tensor(xavier_uniform(rng, config.max_frames, d), requires_grad=True)
-        self.msp = MspParams.create(rng, d, config.n_heads, config.tau)
+        self.msp = MspParams.create(rng, d, config.n_heads)
         self.qc2 = Qc2Params.create(rng, d, config.n_heads)
         self.encoder = [EncoderBlock.create(rng, d, config.n_heads, config.ffn_dim)
                         for _ in range(config.encoder_layers)]

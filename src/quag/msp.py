@@ -38,25 +38,20 @@ __all__ = [
 
 
 class MspParams:
-    """Cross-attention blocks for each direction, the fusion projection, and
-    the contrastive temperature."""
+    """Cross-attention blocks for each direction and the fusion projection."""
 
     def __init__(self, attn_v2a: MultiHeadAttention, attn_a2v: MultiHeadAttention,
-                 fuse: LinearLayer, tau: float):
-        if tau <= 0:
-            raise ValueError(f"temperature must be positive, got {tau}")
+                 fuse: LinearLayer):
         self.attn_v2a = attn_v2a
         self.attn_a2v = attn_a2v
         self.fuse = fuse
-        self.tau = float(tau)
 
     @classmethod
-    def create(cls, rng: np.random.Generator, dim: int, n_heads: int, tau: float) -> "MspParams":
+    def create(cls, rng: np.random.Generator, dim: int, n_heads: int) -> "MspParams":
         return cls(
             MultiHeadAttention.create(rng, dim, n_heads),
             MultiHeadAttention.create(rng, dim, n_heads),
             LinearLayer.create(rng, 2 * dim, dim),
-            tau,
         )
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:

@@ -71,11 +71,7 @@ class no_grad:
 
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data)
-    if arr.dtype == np.float64:
-        return arr
-    if arr.dtype != np.float32:
-        arr = arr.astype(np.float32)
-    return arr
+    return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float32)
 
 
 class Tensor:
@@ -357,9 +353,9 @@ def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
     data = x.data[lo:hi].copy()
 
     def backward(g):
-        buf = np.zeros_like(x.data)
-        buf[lo:hi] = g
-        _accumulate(x, buf)
+        if x.grad is None:
+            x.grad = np.zeros(x.shape, dtype=x.data.dtype)
+        x.grad[lo:hi] += g
 
     return _node(data, (x,), backward)
 

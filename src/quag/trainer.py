@@ -268,26 +268,24 @@ def round_robin_epoch(model: QuagParams, loaders: TaskLoaders, schedule: TrainSc
 #   magic b"QGCK", u32 version, u32 digest length, the config digest (ascii),
 #   u32 entry count, then for each entry: u32 name length, the name (utf-8),
 #   a 3-byte dtype tag, u32 rank, one u32 per extent, and the raw values.
-# Tags: "<f4" for parameters, "<f8" for the AdamW moments opt.m.* / opt.v.*,
-# "<i8" for trainer.step and trainer.epoch. Storing each entry in its own
-# dtype makes the optimizer state round-trip exactly, so a resumed run stays
-# bit-identical to an uninterrupted one.
-# Version 1 had no tag and stored every entry, step and epoch included, as
-# "<f4"; it is still read, and load_checkpoint upcasts its moments to float64.
+# Each entry is stored in the dtype of the array it holds: "<f4" for the
+# parameters, "<f8" for the AdamW moments opt.m.* / opt.v.*, "<i8" for
+# trainer.step and trainer.epoch. So the optimizer state round-trips exactly,
+# and a resumed run stays bit-identical to an uninterrupted one.
 
 _DTYPE_TAGS = {tag: np.dtype(tag.decode("ascii")) for tag in (b"<f4", b"<f8", b"<i8")}
 
 
-def _checkpoint_entries(model: QuagParams, optimizer: AdamW, epoch: int,
-                        ) -> list[tuple[str, np.ndarray]]:
+def _checkpoint_arrays(model: QuagParams, optimizer: Optional[AdamW]) -> dict[str, np.ndarray]:
+    """Each array entry's name and the live array it holds, in file order:
+    every parameter, then, with an optimizer, each parameter's moments."""
     params = model.named_parameters()
-    entries = [(name, np.ascontiguousarray(p.data, dtype="<f4")) for name, p in params.items()]
-    for name in params:
-        entries.append((f"opt.m.{name}", np.ascontiguousarray(optimizer.m[name], dtype="<f8")))
-        entries.append((f"opt.v.{name}", np.ascontiguousarray(optimizer.v[name], dtype="<f8")))
-    entries.append(("trainer.step", np.asarray([optimizer.t], dtype="<i8")))
-    entries.append(("trainer.epoch", np.asarray([epoch], dtype="<i8")))
-    return entries
+    arrays = {name: p.data for name, p in params.items()}
+    if optimizer is not None:
+        for name in params:
+            arrays[f"opt.m.{name}"] = optimizer.m[name]
+            arrays[f"opt.v.{name}"] = optimizer.v[name]
+    return arrays
 
 
 def save_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
@@ -300,13 +298,17 @@ def save_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
     """
     path = Path(path)
     digest = config.digest().encode("ascii")
-    entries = _checkpoint_entries(model, optimizer, epoch)
+    entries = list(_checkpoint_arrays(model, optimizer).items()) + [
+        ("trainer.step", np.array([optimizer.t], dtype="<i8")),
+        ("trainer.epoch", np.array([epoch], dtype="<i8")),
+    ]
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(digest))
                     + digest + struct.pack("<I", len(entries)))
             for name, arr in entries:
+                arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
                 encoded = name.encode("utf-8")
                 f.write(struct.pack("<I", len(encoded)) + encoded + arr.dtype.str.encode("ascii")
                         + struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
@@ -317,8 +319,8 @@ def save_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
 
 
 def _read_checkpoint(path: Path) -> tuple[str, dict[str, np.ndarray]]:
-    """The config digest and every entry of a v1 or v2 checkpoint, each
-    entry a read-only view of the file's bytes in its stored dtype.
+    """The config digest and every entry of a v2 checkpoint, each entry a
+    read-only view of the file's bytes in its stored dtype.
 
     Any malformed input raises ``CheckpointError``.
     """
@@ -326,7 +328,7 @@ def _read_checkpoint(path: Path) -> tuple[str, dict[str, np.ndarray]]:
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic")
     version, digest_len = struct.unpack("<II", raw[4:12])
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     offset = 12
     try:
@@ -340,13 +342,11 @@ def _read_checkpoint(path: Path) -> tuple[str, dict[str, np.ndarray]]:
             offset += 4
             name = raw[offset:offset + name_len].decode("utf-8")
             offset += name_len
-            dtype = _DTYPE_TAGS[b"<f4"]  # v1 has no tags
-            if version > 1:
-                tag = raw[offset:offset + 3]
-                offset += 3
-                if tag not in _DTYPE_TAGS:
-                    raise CheckpointError(f"{path}: entry {name!r} has unknown dtype tag {tag!r}")
-                dtype = _DTYPE_TAGS[tag]
+            tag = raw[offset:offset + 3]
+            offset += 3
+            if tag not in _DTYPE_TAGS:
+                raise CheckpointError(f"{path}: entry {name!r} has unknown dtype tag {tag!r}")
+            dtype = _DTYPE_TAGS[tag]
             (rank,) = struct.unpack_from("<I", raw, offset)
             offset += 4
             shape = struct.unpack_from(f"<{rank}I", raw, offset)
@@ -379,10 +379,10 @@ def _entry(entries: dict[str, np.ndarray], name: str, shape: tuple[int, ...],
 
 
 def _counter(entries: dict[str, np.ndarray], name: str, path: Path) -> int:
-    value = _entry(entries, name, (1,), path)[0]
-    if not (np.isfinite(value) and value >= 0 and value == int(value)):
-        raise CheckpointError(f"{path}: entry {name!r} is {value}, not a count")
-    return int(value)
+    entry = _entry(entries, name, (1,), path)
+    if entry.dtype != _DTYPE_TAGS[b"<i8"] or entry[0] < 0:
+        raise CheckpointError(f"{path}: entry {name!r} is {entry.dtype.str} {entry[0]}, not a count")
+    return int(entry[0])
 
 
 def load_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
@@ -390,7 +390,8 @@ def load_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
     """Restore parameters (and optimizer state); returns completed epochs.
 
     Everything is checked before anything is restored, and a malformed or
-    mismatched checkpoint raises ``CheckpointError``.
+    mismatched checkpoint raises ``CheckpointError``. Each entry is copied
+    into its array, so the arrays keep their objects and dtypes.
     """
     digest, entries = _read_checkpoint(path)
     if digest != config.digest():
@@ -398,19 +399,13 @@ def load_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
             f"{path}: checkpoint was written for a different config "
             f"(digest {digest[:12]}.. != {config.digest()[:12]}..)"
         )
-    registry = model.named_parameters()
-    params = {name: _entry(entries, name, p.data.shape, path) for name, p in registry.items()}
+    arrays = _checkpoint_arrays(model, optimizer)
+    saved = [_entry(entries, name, arr.shape, path) for name, arr in arrays.items()]
     epoch = _counter(entries, "trainer.epoch", path)
     if optimizer is not None:
-        moments = {name: (_entry(entries, f"opt.m.{name}", p.data.shape, path),
-                          _entry(entries, f"opt.v.{name}", p.data.shape, path))
-                   for name, p in registry.items()}
         optimizer.t = _counter(entries, "trainer.step", path)
-        for name, (m, v) in moments.items():
-            optimizer.m[name] = m.astype(np.float64)
-            optimizer.v[name] = v.astype(np.float64)
-    for name, p in registry.items():
-        p.data = params[name].astype(np.float32)
+    for arr, values in zip(arrays.values(), saved):
+        np.copyto(arr, values)
     return epoch
 
 

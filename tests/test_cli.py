@@ -65,8 +65,8 @@ def test_zero_heads_config_exits_1(tmp_path, capsys):
 
 
 def test_diverging_run_exits_1(tmp_path, capsys):
-    # lr=1e30 overflows the weights after the first step; numpy warns on the
-    # way, and the non-finite loss is reported, not raised
+    # lr=1e30 overflows the weights after the first step; the non-finite loss
+    # is reported, not raised, and numpy's overflow warnings stay quiet
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(asdict(TINY_SPEC)))
     config = tmp_path / "config.json"
@@ -74,7 +74,36 @@ def test_diverging_run_exits_1(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert main(["gen", str(corpus), "--spec", str(spec)]) == 0
     capsys.readouterr()
-    with pytest.warns(RuntimeWarning):
-        assert main(["train", str(corpus / "manifest.json"), str(tmp_path / "run"),
-                     "--config", str(config)]) == 1
-    assert "not finite" in capsys.readouterr().err
+    assert main(["train", str(corpus / "manifest.json"), str(tmp_path / "run"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "quag train: task loss is not finite\n"
+
+
+@pytest.mark.parametrize("command,flag,doc,field", [
+    ("train", "--config", {"d_model": "64"}, "d_model"),
+    ("train", "--config", {"normalize_contrastive": 1}, "normalize_contrastive"),
+    ("gen", "--spec", {"n_frames": "8"}, "n_frames"),
+    ("gen", "--spec", {"noise_sigma": True}, "noise_sigma"),
+])
+def test_mistyped_field_exits_1(tmp_path, capsys, command, flag, doc, field):
+    assert main(["gen", str(tmp_path / "corpus")]) == 0
+    capsys.readouterr()
+    fields = tmp_path / "fields.json"
+    fields.write_text(json.dumps(doc))
+    args = [str(tmp_path / "corpus" / "manifest.json"), str(tmp_path / "run")] \
+        if command == "train" else [str(tmp_path / "out")]
+    assert main([command, *args, flag, str(fields)]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_mistyped_run_config_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1}))
+    assert main(["gen", str(tmp_path / "corpus")]) == 0
+    manifest = str(tmp_path / "corpus" / "manifest.json")
+    assert main(["train", manifest, str(tmp_path / "run"), "--config", str(config)]) == 0
+    run_config = tmp_path / "run" / "config.json"
+    run_config.write_text(json.dumps({**json.loads(run_config.read_text()), "n_heads": 2.0}))
+    capsys.readouterr()
+    assert main(["predict", manifest, str(tmp_path / "run")]) == 1
+    assert "n_heads" in capsys.readouterr().err

@@ -285,6 +285,27 @@ class TestSyntheticGenerator:
         np.testing.assert_allclose(np.linalg.norm(steps, axis=1), 1.0, atol=1e-5)
         assert np.abs(steps @ planted["visual_signals"].T).max() < 1e-5
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda doc: {**doc, "episode_count": 2}, "unknown"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "vocab_path"}, "missing"),
+        (lambda doc: [doc], "JSON object"),
+        (lambda doc: {**doc, "episode_paths": "abc"}, "episode_paths"),
+        (lambda doc: {**doc, "root": "/"}, "unknown"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, edit, match):
+        generate_synthetic_dataset(tmp_path, SyntheticSpec(seed=5, n_episodes=2))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(EpisodeIOError, match=match):
+            load_manifest(path)
+
+    def test_caption_id_outside_vocabulary_rejected(self, tmp_path):
+        generate_synthetic_dataset(tmp_path, SyntheticSpec(seed=5, n_episodes=2))
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(vocab.read_text().splitlines()[:10]) + "\n")
+        with pytest.raises(InvariantViolationError, match="vocabulary of size 10"):
+            load_manifest(tmp_path / "manifest.json").load_episodes()
+
     def test_manifest_missing_file_detected(self, tmp_path):
         spec = SyntheticSpec(seed=5, n_episodes=2)
         generate_synthetic_dataset(tmp_path, spec)

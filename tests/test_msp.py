@@ -17,8 +17,8 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def make_params(dim=4, heads=2, tau=1.0, seed=0):
-    return MspParams.create(rng(seed), dim, heads, tau)
+def make_params(dim=4, heads=2, seed=0):
+    return MspParams.create(rng(seed), dim, heads)
 
 
 class TestGlobalPool:
@@ -211,7 +211,7 @@ class TestFusion:
         assert fuse_audio_visual(joint_v, joint_a, params).shape == (n_frames, 4)
 
     def test_gradient_through_full_stack(self):
-        params = make_params(dim=4, heads=2, tau=0.5, seed=35)
+        params = make_params(dim=4, heads=2, seed=35)
         r_v = Tensor(rng(36).standard_normal((3, 4)).astype(np.float32), requires_grad=True)
         r_a = Tensor(rng(37).standard_normal((3, 4)).astype(np.float32), requires_grad=True)
 

@@ -326,6 +326,11 @@ class TestStructuralOps:
         w = Tensor(rand((2, 4), seed=23))
         err = grad_check(lambda: sum_all(slice_rows(x, 1, 3) * w), [x], h=1e-3)
         assert err < 1e-4
+        # two overlapping slices of one tensor add into the shared row
+        v = Tensor(rand((3, 4), seed=24))
+        err = grad_check(lambda: sum_all(slice_rows(x, 1, 3) * w)
+                         + sum_all(slice_rows(x, 2, 5) * v), [x], h=1e-3)
+        assert err < 1e-4
         with pytest.raises(ShapeError):
             slice_rows(x, 3, 9)
 

@@ -246,8 +246,9 @@ def _trained_state(config):
 
 
 def _checkpoint_bytes(version, digest, entries):
-    """A checkpoint laid out by hand: v1 stores every entry as <f4 with no
-    tag, v2 puts each entry's dtype tag before its shape."""
+    """A checkpoint laid out by hand: v2 puts each entry's dtype tag before
+    its shape; v1, which no longer loads, stored every entry as <f4 with no
+    tag."""
     blob = b"QGCK" + struct.pack("<II", version, len(digest)) + digest.encode("ascii")
     blob += struct.pack("<I", len(entries))
     for name, arr in entries:
@@ -287,7 +288,8 @@ class TestCheckpointFormat:
         assert path.read_bytes() == _checkpoint_bytes(
             2, config.digest(), _v2_entries(model, optimizer, 2))
 
-    def test_v1_checkpoint_still_loads(self, tiny_corpus, tmp_path):
+    def test_v1_checkpoint_rejected(self, tiny_corpus, tmp_path):
+        # v1 digests hashed ``epochs``, so no v1 file matches a current config
         config = tiny_config(tiny_corpus)
         model, optimizer = _trained_state(config)
         entries = [(n, p.data) for n, p in model.named_parameters().items()]
@@ -296,18 +298,24 @@ class TestCheckpointFormat:
         entries += [("trainer.step", np.array([1.0])), ("trainer.epoch", np.array([3.0]))]
         path = tmp_path / "v1.qgck"
         path.write_bytes(_checkpoint_bytes(1, config.digest(), entries))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path, config, QuagParams(config), AdamW.for_model(model))
 
+    def test_load_keeps_every_array_object(self, tiny_corpus, tmp_path):
+        config = tiny_config(tiny_corpus)
+        model, optimizer = _trained_state(config)
+        path = tmp_path / "ckpt.qgck"
+        save_checkpoint(path, config, model, optimizer, epoch=1)
         restored = QuagParams(config)
         opt2 = AdamW.for_model(restored)
-        assert load_checkpoint(path, config, restored, opt2) == 3
-        assert opt2.t == 1
-        for name, p in model.named_parameters().items():
-            np.testing.assert_array_equal(restored.named_parameters()[name].data, p.data)
-            assert restored.named_parameters()[name].data.dtype == np.float32
-            for saved, loaded in ((optimizer.m[name], opt2.m[name]),
-                                  (optimizer.v[name], opt2.v[name])):
-                assert loaded.dtype == np.float64
-                np.testing.assert_array_equal(loaded, saved.astype(np.float32))
+        params = restored.named_parameters()
+        before = {n: (p.data, opt2.m[n], opt2.v[n]) for n, p in params.items()}
+        load_checkpoint(path, config, restored, opt2)
+        for n, p in params.items():
+            for kept, now in zip(before[n], (p.data, opt2.m[n], opt2.v[n])):
+                assert now is kept
+            np.testing.assert_array_equal(p.data, model.named_parameters()[n].data)
+            np.testing.assert_array_equal(opt2.v[n], optimizer.v[n])
 
     @pytest.mark.parametrize("dropped", [
         "proj_visual.weight", "opt.m.proj_visual.weight", "opt.v.proj_visual.weight",
@@ -327,7 +335,7 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("version,at,value,match", [
         (2, 0, lambda arr: arr.astype("<f2"), "unknown dtype tag"),
         (2, -2, lambda arr: np.array([-1], dtype="<i8"), "not a count"),
-        (1, -1, lambda arr: np.array([np.nan]), "not a count"),
+        (2, -1, lambda arr: np.array([3.0], dtype="<f8"), "not a count"),
     ])
     def test_malformed_entry_rejected(self, tiny_corpus, tmp_path, version, at, value, match):
         config = tiny_config(tiny_corpus)
