@@ -172,12 +172,10 @@ def write_episode(record: EpisodeRecord, path: Path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
-def _json_list(value) -> list:
-    """A list-valued metadata field; a string or an object in its place is
-    malformed, not a sequence to iterate."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a JSON list, got {type(value).__name__}")
-    return value
+# The JSON type of each episode metadata field, checked by ``_fits``.
+_META_TYPES = {"id": str, "n_frames": int, "visual_dim": int, "audio_dim": int,
+               "query_dim": int, "moment": list[int], "steps": list[int],
+               "captions": list[list[int]], "caption_texts": list[str]}
 
 
 def load_episode(path: Path) -> EpisodeRecord:
@@ -194,20 +192,19 @@ def load_episode(path: Path) -> EpisodeRecord:
         meta = json.loads(raw[12:12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptHeaderError(f"{path}: metadata is not valid JSON: {exc}") from exc
-    try:
-        episode_id = str(meta["id"])
-        n = int(meta["n_frames"])
-        dims = (int(meta["visual_dim"]), int(meta["audio_dim"]), int(meta["query_dim"]))
-        if n < 0 or min(dims) < 0:
-            raise ValueError(f"negative extent n_frames={n}, dims={dims}")
-        moment = [int(v) for v in _json_list(meta["moment"])]
-        if len(moment) != 2:
-            raise ValueError(f"moment has {len(moment)} entries, expected 2")
-        steps = [int(b) for b in _json_list(meta["steps"])]
-        captions = [[int(t) for t in _json_list(cap)] for cap in _json_list(meta["captions"])]
-        caption_texts = [str(t) for t in _json_list(meta.get("caption_texts", []))]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CorruptHeaderError(f"{path}: metadata missing or malformed field: {exc!r}") from exc
+    if not isinstance(meta, dict):
+        raise CorruptHeaderError(f"{path}: metadata is not a JSON object")
+    meta.setdefault("caption_texts", [])
+    for name, hint in _META_TYPES.items():
+        if name not in meta or not _fits(meta[name], hint):
+            raise CorruptHeaderError(
+                f"{path}: metadata field {name!r} is missing or of the wrong type")
+    n = meta["n_frames"]
+    dims = (meta["visual_dim"], meta["audio_dim"], meta["query_dim"])
+    moment = meta["moment"]
+    if n < 1 or min(dims) < 1 or len(moment) != 2:
+        raise CorruptHeaderError(
+            f"{path}: metadata has an extent below 1 or a moment of {len(moment)} entries")
     counts = (n * dims[0], n * dims[1], dims[2])
     payload = raw[12 + meta_len:]
     if len(payload) != 4 * sum(counts):
@@ -220,14 +217,14 @@ def load_episode(path: Path) -> EpisodeRecord:
         arrays.append(np.frombuffer(payload, dtype="<f4", count=count, offset=offset).copy())
         offset += 4 * count
     record = EpisodeRecord(
-        id=episode_id,
+        id=meta["id"],
         visual=arrays[0].reshape(n, dims[0]),
         audio=arrays[1].reshape(n, dims[1]),
         query=arrays[2],
         moment=(moment[0], moment[1]),
-        steps=steps,
-        captions=captions,
-        caption_texts=caption_texts,
+        steps=meta["steps"],
+        captions=meta["captions"],
+        caption_texts=meta["caption_texts"],
     )
     record.validate()
     return record

@@ -7,15 +7,17 @@ generation stops when a boundary reaches the span end. A learned marker
 vector is added at the rows of the committed boundaries, but every such row
 is at or before the last boundary, so ``frame_mask`` masks every row the
 marker touches: the marker changes no probability and gets exactly zero
-gradient. Step captions are decoded autoregressively against the step's
-frames.
+gradient.
 
-Decoding runs on a ``DecodeState``: each block's cross-attention keys and
-values are projected from the memory once per decode, the self-attention keys
-and values grow by one position per token, and greedy decoding (one row) and
-beam search (one row per live beam) feed only the newest token at each step.
-Training keeps the full-prefix ``teacher_forced_logits``; the state is held
-to the same ids as recomputing that whole prefix for every token.
+Step captions are decoded on a ``DecodeState``, one row per caption, so the
+captions of an episode decode together, each against its own step's frames:
+the memories are padded to the longest and a key mask hides the padding.
+Cross-attention keys and values are projected once per decode, self-attention
+keys and values grow by one position per token, and each step feeds only the
+newest token of every row. Greedy decoding drops a row at EOS; beam search
+steps captions x live beams as rows. Training keeps the full-prefix
+``teacher_forced_logits``; every row is held to the same ids as recomputing
+that whole prefix on its own memory.
 """
 
 from __future__ import annotations
@@ -224,73 +226,103 @@ class CaptionDecoder:
             x = block(x, memory, drop_rate, rng)
         return linear(x, self.out)
 
-    def greedy_decode(self, memory: Tensor, max_len: int) -> list[int]:
-        """Greedy decode from BOS; stops at EOS, after max_len tokens, or
-        after max_positions - 1 tokens."""
-        state = DecodeState(self, memory)
-        out: list[int] = []
-        token = BOS
+    def greedy_decode(self, memories: Sequence[Tensor], max_len: int) -> list[list[int]]:
+        """Greedy decode from BOS, one caption per memory, as the rows of one
+        ``DecodeState``; a caption ends at EOS (its row is dropped), after
+        max_len tokens, or after max_positions - 1 tokens."""
+        state = DecodeState(self, memories)
+        out: list[list[int]] = [[] for _ in memories]
+        live = list(range(len(memories)))  # the caption of each row
+        tokens = [BOS] * len(memories)
         for _ in range(min(max_len, self.max_positions - 1)):
-            token = int(np.argmax(state.step([token]).data[0]))
-            if token == EOS:
+            picked = np.argmax(state.step(tokens).data, axis=-1)
+            rows = [r for r, tok in enumerate(picked) if tok != EOS]
+            if not rows:
                 break
-            out.append(token)
+            if len(rows) < len(live):
+                state.select(rows)
+                live = [live[r] for r in rows]
+            tokens = [int(picked[r]) for r in rows]
+            for caption, token in zip(live, tokens):
+                out[caption].append(token)
         return out
 
-    def beam_decode(self, memory: Tensor, max_len: int, beam_width: int) -> list[int]:
-        """Beam search over summed token log-probabilities; width 1 is greedy.
+    def beam_decode(self, memories: Sequence[Tensor], max_len: int,
+                    beam_width: int) -> list[list[int]]:
+        """Beam search over summed token log-probabilities, one caption per
+        memory; width 1 is greedy.
 
-        The live beams step together as the rows of one ``DecodeState``. A
+        The live beams of every caption step together as the rows of one
+        ``DecodeState``; each caption keeps its own top ``beam_width``. A
         beam that ends in EOS keeps its score and gives up its row.
         """
         if beam_width < 1:
             raise ValueError(f"beam_width must be >= 1, got {beam_width}")
         if beam_width == 1:
-            return self.greedy_decode(memory, max_len)
-        state = DecodeState(self, memory)
-        beams: list[tuple[float, list[int], bool]] = [(0.0, [BOS], False)]
+            return self.greedy_decode(memories, max_len)
+        state = DecodeState(self, memories)
+        searches: list[list[tuple[float, list[int], bool]]] = \
+            [[(0.0, [BOS], False)] for _ in memories]
         for _ in range(min(max_len, self.max_positions - 1)):
-            if all(done for _, _, done in beams):
+            tokens = [ids[-1] for beams in searches for _, ids, done in beams if not done]
+            if not tokens:
                 break
-            logp = log_softmax(state.step([ids[-1] for _, ids, done in beams
-                                           if not done])).data
-            grown: list[tuple[float, list[int], bool, int]] = []
+            logp = log_softmax(state.step(tokens)).data
             row = 0
-            for score, ids, done in beams:
-                if done:
-                    grown.append((score, ids, done, -1))
-                    continue
-                for tok in np.argsort(logp[row])[::-1][:beam_width]:
-                    tok = int(tok)
-                    grown.append((score + float(logp[row, tok]), ids + [tok], tok == EOS, row))
-                row += 1
-            grown.sort(key=lambda b: b[0], reverse=True)
-            beams = [b[:3] for b in grown[:beam_width]]
-            state.select([b[3] for b in grown[:beam_width] if not b[2]])
-        best = max(beams, key=lambda b: b[0])
-        ids = best[1][1:]
-        return ids[:-1] if ids and ids[-1] == EOS else ids
+            kept: list[int] = []
+            for c, beams in enumerate(searches):
+                grown: list[tuple[float, list[int], bool, int]] = []
+                for score, ids, done in beams:
+                    if done:
+                        grown.append((score, ids, done, -1))
+                        continue
+                    for tok in np.argsort(logp[row])[::-1][:beam_width]:
+                        tok = int(tok)
+                        grown.append((score + float(logp[row, tok]), ids + [tok],
+                                      tok == EOS, row))
+                    row += 1
+                grown.sort(key=lambda b: b[0], reverse=True)
+                searches[c] = [b[:3] for b in grown[:beam_width]]
+                kept.extend(b[3] for b in grown[:beam_width] if not b[2])
+            state.select(kept)
+        captions = []
+        for beams in searches:
+            ids = max(beams, key=lambda b: b[0])[1][1:]
+            captions.append(ids[:-1] if ids and ids[-1] == EOS else ids)
+        return captions
 
 
 class DecodeState:
-    """Incremental decoding of R rows against one memory.
+    """Incremental decoding of R rows, each against its own memory.
 
-    Per decoder block it caches the memory's cross-attention keys and values,
-    projected once, and the self-attention keys and values of every position
-    decoded so far, one position more per ``step``. The rows step together:
-    one row for greedy decoding, the live beams for beam search; ``select``
-    reorders, repeats or drops rows to follow the surviving beams. Invariant:
-    row r's ``step`` logits equal the last row of ``teacher_forced_logits``
-    over row r's tokens up to float rounding, so decoding picks the same ids
-    as recomputing the whole prefix for every token.
+    The memories, one per caption, are padded once to the longest (M
+    positions); per decoder block their cross-attention keys and values are
+    projected once for all rows, and the self-attention keys and values of
+    the positions decoded so far grow by one per ``step``. A boolean key mask
+    [R, 1, 1, M] marks padded positions; memories of one length get none.
+    ``select`` reorders, repeats or drops rows, indexing caches and mask
+    alike, so each row keeps its memory as greedy drops finished captions and
+    beam search follows the surviving beams. Invariant: row r's ``step``
+    logits equal the last row of ``teacher_forced_logits`` over row r's
+    memory and tokens up to float rounding, so decoding picks the same ids as
+    recomputing the whole prefix for every token.
     """
 
-    def __init__(self, decoder: CaptionDecoder, memory: Tensor):
+    def __init__(self, decoder: CaptionDecoder, memories: Sequence[Tensor]):
+        if not memories:
+            raise ShapeError("DecodeState needs at least one memory")
+        lengths = np.array([m.shape[0] for m in memories])
+        width = int(lengths.max())
         self.decoder = decoder
-        self.rows = 1
+        self.rows = len(memories)
         self.length = 0
+        self.mask: Optional[np.ndarray] = None
+        if (lengths < width).any():
+            self.mask = (np.arange(width) >= lengths[:, None])[:, None, None, :]
+        memory = memories[0] if self.rows == 1 else Tensor(np.concatenate(
+            [np.pad(m.data, ((0, width - m.shape[0]), (0, 0))) for m in memories]))
         with no_grad():
-            self.caches = [block.start_cache(memory) for block in decoder.blocks]
+            self.caches = [block.start_cache(memory, self.rows) for block in decoder.blocks]
 
     def step(self, tokens: Sequence[int]) -> Tensor:
         """Feed one token per row at the next position; returns [R x V] logits
@@ -304,7 +336,7 @@ class DecodeState:
             x = embed_rows(dec.embed, tokens) + slice_rows(dec.pos, self.length,
                                                            self.length + 1)
             for i, block in enumerate(dec.blocks):
-                x, self.caches[i] = block.step(x, self.caches[i])
+                x, self.caches[i] = block.step(x, self.caches[i], self.mask)
             self.length += 1
             return linear(x, dec.out)
 
@@ -312,6 +344,8 @@ class DecodeState:
         """Keep the given rows, in the given order; a row may repeat."""
         idx = np.asarray(rows, dtype=np.intp)
         self.caches = [tuple(a[idx] for a in cache) for cache in self.caches]
+        if self.mask is not None:
+            self.mask = self.mask[idx]
         self.rows = len(idx)
 
 
@@ -320,9 +354,10 @@ def decode_step_caption(frames: Tensor, step_span: tuple[int, int],
                         restrict_to_step: bool = True,
                         beam_width: int = 1) -> list[int]:
     """Decode one caption for a step, cross-attending to the step's frames
-    (or the whole representation when restriction is disabled)."""
+    (or the whole representation when restriction is disabled): the
+    one-memory call of ``CaptionDecoder.beam_decode``."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     lo, hi = step_span
     memory = slice_rows(frames, lo, hi + 1) if restrict_to_step else frames
-    return decoder.beam_decode(memory, max_len, beam_width)
+    return decoder.beam_decode([memory], max_len, beam_width)[0]

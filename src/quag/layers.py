@@ -289,47 +289,50 @@ class DecoderBlock:
         f = self.ffn_out(gelu(self.ffn_in(h)))
         return layer_norm(h + dropout(f, drop_rate, rng), self.ln_gains[2], self.ln_biases[2])
 
-    def start_cache(self, memory: Tensor) -> tuple[np.ndarray, ...]:
-        """The ``step`` cache of one row decoding against ``memory``.
+    def start_cache(self, memory: Tensor, rows: int) -> tuple[np.ndarray, ...]:
+        """The ``step`` cache of R = ``rows`` rows, row r decoding against
+        rows [r*M, (r+1)*M) of ``memory`` [R*M x D].
 
         It holds the self-attention keys [R, h, D/h, t] and values
         [R, h, t, D/h] of the t positions decoded so far (none yet), then the
-        memory's cross-attention keys [R, h, D/h, M] and values [R, h, M, D/h],
-        projected once here. Axis 0 indexes the R rows throughout, so
-        indexing every array with the same rows reorders, repeats or drops
-        rows.
+        cross-attention keys [R, h, D/h, M] and values [R, h, M, D/h] of the
+        memories, projected once here. Axis 0 indexes the R rows throughout,
+        so indexing every array alike reorders, repeats or drops rows.
         """
         attn = self.cross_attn
         heads = attn.n_heads
-        mem_k = project_heads(memory, attn.wk, heads, (1, 2, 0)).data[None]
-        mem_v = project_heads(memory, attn.wv, heads, (1, 0, 2)).data[None]
         head_dim = attn.dim // heads
-        return (np.zeros((1, heads, head_dim, 0), mem_k.dtype),
-                np.zeros((1, heads, 0, head_dim), mem_v.dtype), mem_k, mem_v)
+        split = (rows, -1, heads, head_dim)
+        mem_k = transpose(reshape(matmul(memory, attn.wk), split), (0, 2, 3, 1)).data
+        mem_v = transpose(reshape(matmul(memory, attn.wv), split), (0, 2, 1, 3)).data
+        return (np.zeros((rows, heads, head_dim, 0), mem_k.dtype),
+                np.zeros((rows, heads, 0, head_dim), mem_v.dtype), mem_k, mem_v)
 
-    def step(self, x: Tensor, cache: tuple[np.ndarray, ...]
+    def step(self, x: Tensor, cache: tuple[np.ndarray, ...], memory_mask: Optional[np.ndarray]
              ) -> tuple[Tensor, tuple[np.ndarray, ...]]:
         """Run one new position of R rows against a ``start_cache`` cache.
 
         ``x`` is [R x D], each row the newest position of its own sequence.
-        Returns the block output for those positions, equal to the last row
-        of ``__call__`` over each whole sequence without dropout, and the
-        cache with their self-attention keys and values appended.
+        ``memory_mask``, boolean [R, 1, 1, M] or None, marks the padded
+        memory positions a row must not attend to. Returns the block output for
+        those positions, equal to the last row of ``__call__`` over each
+        whole sequence and its own memory without dropout, and the cache
+        with their self-attention keys and values appended.
         """
         past_k, past_v, mem_k, mem_v = cache
         rows = x.shape[0]
         attn = self.self_attn
         heads = attn.n_heads
         keys = np.concatenate(
-            [past_k, reshape(matmul(x, attn.wk), (rows, heads, -1, 1)).data], axis=-1)
+            [past_k, (x.data @ attn.wk.data).reshape(rows, heads, -1, 1)], axis=-1)
         values = np.concatenate(
-            [past_v, reshape(matmul(x, attn.wv), (rows, heads, 1, -1)).data], axis=-2)
+            [past_v, (x.data @ attn.wv.data).reshape(rows, heads, 1, -1)], axis=-2)
         q = reshape(matmul(x, attn.wq), (rows, heads, 1, -1))
         h = layer_norm(x + attend(q, Tensor(keys), Tensor(values), attn)[0],
                        self.ln_gains[0], self.ln_biases[0])
         attn = self.cross_attn
         q = reshape(matmul(h, attn.wq), (rows, attn.n_heads, 1, -1))
-        h = layer_norm(h + attend(q, Tensor(mem_k), Tensor(mem_v), attn)[0],
+        h = layer_norm(h + attend(q, Tensor(mem_k), Tensor(mem_v), attn, memory_mask)[0],
                        self.ln_gains[1], self.ln_biases[1])
         return self._feed_forward(h, 0.0, None), (keys, values, mem_k, mem_v)
 

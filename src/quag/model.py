@@ -23,7 +23,6 @@ from quag.data import DatasetManifest, EpisodeRecord, step_frame_spans
 from quag.heads import (
     CaptionDecoder,
     decode_moment,
-    decode_step_caption,
     predict_moment_span,
     predict_step_boundaries,
 )
@@ -76,6 +75,13 @@ class ModelConfig:
     epochs: int = 50
     dropout: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        # Store an int given for a float as a float: "lr": 1 and 1.0 hash alike.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and isinstance(value, int) and not isinstance(value, bool):
+                setattr(self, f.name, float(value))
 
     def validate(self) -> None:
         if self.n_heads < 1:
@@ -291,22 +297,17 @@ def encode_trunk(episode: EpisodeRecord, params: QuagParams,
 
 
 def predict(episode: EpisodeRecord, params: QuagParams) -> PredictionSet:
-    """Decode the moment, segment it, and caption each step."""
+    """Decode the moment, segment it, and caption every step, one row each."""
     config = params.config
     with no_grad():
         enhanced, _, _ = encode_trunk(episode, params)
         span = decode_moment(predict_moment_span(enhanced, params.start_head, params.end_head))
         boundaries = predict_step_boundaries(enhanced, span, params.step_head,
                                              params.boundary_marker, config.max_steps)
-        captions = []
-        for step_span in step_frame_spans(span[0], boundaries):
-            captions.append(decode_step_caption(
-                enhanced,
-                step_span if config.caption_context == "step" else span,
-                params.decoder,
-                config.max_caption_len,
-                restrict_to_step=True,
-                beam_width=config.beam_width,
-            ))
+        spans = step_frame_spans(span[0], boundaries) if config.caption_context == "step" \
+            else [span] * len(boundaries)
+        captions = params.decoder.beam_decode(
+            [slice_rows(enhanced, lo, hi + 1) for lo, hi in spans],
+            config.max_caption_len, config.beam_width)
     return PredictionSet(episode_id=episode.id, moment=span, steps=boundaries,
                          captions=captions)

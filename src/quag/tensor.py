@@ -71,7 +71,7 @@ class no_grad:
 
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data)
-    return arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float32)
+    return arr if arr.dtype.char in "fd" else arr.astype(np.float32)
 
 
 class Tensor:
@@ -223,8 +223,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(data, (a, b), backward)
 
@@ -233,8 +235,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _node(data, (a, b), backward)
 
@@ -243,8 +247,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), backward)
 
@@ -253,8 +259,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     data = a.data / b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(data, (a, b), backward)
 
@@ -264,14 +272,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; any leading axes must match."""
-    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] \
-            or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sa) != len(sb) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul shape mismatch: {sa} @ {sb}")
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(data, (a, b), backward)
 
@@ -539,8 +549,9 @@ def gelu(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     v = x.data
-    centred = v - v.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    n = v.shape[-1]  # means as sums / n: ndarray.mean's float math, without its Python wrapper
+    centred = v - np.add.reduce(v, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / n + eps)
     y = centred * inv
     out = y * gain.data + bias.data
 
@@ -550,8 +561,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gy = g * gain.data
         dx = inv * (
             gy
-            - gy.mean(axis=-1, keepdims=True)
-            - y * (gy * y).mean(axis=-1, keepdims=True)
+            - np.add.reduce(gy, axis=-1, keepdims=True) / n
+            - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / n)
         )
         _accumulate(x, dx)
 

@@ -42,6 +42,22 @@ def test_gen_train_predict_end_to_end(tmp_path, capsys):
     assert (tmp_path / "resumed" / "metrics.jsonl").read_text() == ""
 
 
+def test_resume_accepts_an_int_written_for_a_float_field(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(asdict(TINY_SPEC)))
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    assert main(["gen", str(corpus), "--spec", str(spec)]) == 0
+    manifest_path = str(corpus / "manifest.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1, "lr": 1.0}))
+    assert main(["train", manifest_path, str(run), "--config", str(config)]) == 0
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 2, "lr": 1}))
+    assert main(["train", manifest_path, str(tmp_path / "resumed"), "--config", str(config),
+                 "--resume", str(run / "checkpoint.qgck")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()) == 3
+
+
 def test_bad_input_is_reported_not_raised(tmp_path, capsys):
     bad = tmp_path / "config.json"
     bad.write_text(json.dumps({"d_modle": 16}))

@@ -185,6 +185,30 @@ class TestCorruptEpisodes:
         with pytest.raises(CorruptHeaderError, match="metadata"):
             load_episode(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.update(moment=[1.9, 4]),  # was truncated to (1, 4)
+        lambda meta: meta.update(n_frames="6"),
+        lambda meta: meta.update(id=123),
+        lambda meta: meta.update(captions=[[4, True], [6, 7, 8]]),  # was read as token 1
+    ], ids=["float-moment", "string-n_frames", "int-id", "bool-token"])
+    def test_mistyped_metadata_raises_corrupt_header(self, episode_blob, tmp_path, edit):
+        good, _ = episode_blob
+        path = tmp_path / "ep.qgep"
+        path.write_bytes(_with_meta(good, edit))
+        with pytest.raises(CorruptHeaderError, match="metadata field"):
+            load_episode(path)
+
+    def test_zero_feature_dims_raise_corrupt_header(self, episode_blob, tmp_path):
+        # 2**70 frames of no features fit a payload of the query alone
+        good, _ = episode_blob
+        meta_len = int.from_bytes(good[8:12], "little")
+        edited = _with_meta(good[:12 + meta_len], lambda meta: meta.update(
+            n_frames=2**70, visual_dim=0, audio_dim=0)) + good[-4 * 4:]
+        path = tmp_path / "ep.qgep"
+        path.write_bytes(edited)
+        with pytest.raises(CorruptHeaderError, match="metadata"):
+            load_episode(path)
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_corrupt_bytes_raise_only_episode_io_error(self, episode_blob, data):

@@ -230,12 +230,12 @@ class TestCaptionDecoder:
     def test_beam_width_one_matches_greedy(self):
         decoder = make_decoder(seed=12)
         memory = frames_tensor(5, 8, seed=13)
-        assert decoder.beam_decode(memory, 6, 1) == decoder.greedy_decode(memory, 6)
+        assert decoder.beam_decode([memory], 6, 1) == decoder.greedy_decode([memory], 6)
 
     def test_beam_decode_returns_valid_tokens(self):
         decoder = make_decoder(vocab=12, seed=14)
         memory = frames_tensor(5, 8, seed=15)
-        out = decoder.beam_decode(memory, 6, 3)
+        [out] = decoder.beam_decode([memory], 6, 3)
         assert all(0 <= t < 12 for t in out)
         assert len(out) <= 6
 
@@ -297,18 +297,18 @@ class TestDecodeState:
     def test_same_ids_as_full_prefix_recompute(self, seed, heads, layers):
         decoder = make_decoder(heads=heads, layers=layers, seed=seed)
         memory = frames_tensor(2 + seed, 8, seed=100 + seed)
-        assert decoder.greedy_decode(memory, 10) == recompute_greedy(decoder, memory, 10)
-        assert decoder.beam_decode(memory, 10, 1) == recompute_greedy(decoder, memory, 10)
+        assert decoder.greedy_decode([memory], 10) == [recompute_greedy(decoder, memory, 10)]
+        assert decoder.beam_decode([memory], 10, 1) == [recompute_greedy(decoder, memory, 10)]
         for width in (2, 3, 4):
-            assert decoder.beam_decode(memory, 10, width) == \
-                recompute_beam(decoder, memory, 10, width)
+            assert decoder.beam_decode([memory], 10, width) == \
+                [recompute_beam(decoder, memory, 10, width)]
 
     @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2), (4, 2)])
     def test_rows_follow_select(self, heads, layers):
         decoder = make_decoder(heads=heads, layers=layers, seed=20 + heads)
         memory = frames_tensor(5, 8, seed=21)
         pick = rng(22)
-        state = DecodeState(decoder, memory)
+        state = DecodeState(decoder, [memory])
         prefixes = [[BOS]]
         for _ in range(decoder.max_positions):
             logits = state.step([p[-1] for p in prefixes]).data
@@ -324,7 +324,7 @@ class TestDecodeState:
             state.step([p[-1] for p in prefixes])
 
     def test_step_checks_token_count(self):
-        state = DecodeState(make_decoder(seed=23), frames_tensor(3, 8, seed=24))
+        state = DecodeState(make_decoder(seed=23), [frames_tensor(3, 8, seed=24)])
         with pytest.raises(ShapeError):
             state.step([BOS, BOS])
 
@@ -343,7 +343,7 @@ class TestDecodeState:
         decoder = make_decoder(max_pos=6, seed=27)
         decoder.out.bias.data[EOS] = -1e9  # never stop voluntarily
         memory = frames_tensor(4, 8, seed=28)
-        out = decoder.beam_decode(memory, max_len, width)
+        [out] = decoder.beam_decode([memory], max_len, width)
         assert len(out) == decoder.max_positions - 1
         if width > 1:
             assert out == recompute_beam(decoder, memory, max_len, width)
@@ -355,7 +355,7 @@ class TestDecodeState:
         decoder.out.bias.data[EOS] = 3.0
         memory = frames_tensor(4, 8, seed=30)
         steps = count_steps(monkeypatch)
-        out = decoder.beam_decode(memory, 12, 3)
+        [out] = decoder.beam_decode([memory], 12, 3)
         assert out == recompute_beam(decoder, memory, 12, 3)
         assert 1 < len(steps) < 12
         assert steps[-1] < 3  # finished beams gave up their rows
@@ -370,4 +370,66 @@ class TestDecodeState:
 
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError):
-            make_decoder(seed=31).beam_decode(frames_tensor(3, 8), 4, 0)
+            make_decoder(seed=31).beam_decode([frames_tensor(3, 8)], 4, 0)
+
+
+def mixed_memories(seed, lengths=(1, 3, 7)):
+    return [frames_tensor(n, 8, seed=seed * 10 + n) for n in lengths]
+
+
+class TestRowsOfSeveralMemories:
+    """One DecodeState row per memory, padded to the longest and masked."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_memory_gets_the_ids_of_its_own_reference(self, seed, heads, layers):
+        decoder = make_decoder(heads=heads, layers=layers, seed=40 + seed)
+        memories = mixed_memories(seed)
+        assert decoder.greedy_decode(memories, 10) == \
+            [recompute_greedy(decoder, m, 10) for m in memories]
+        for width in (2, 3, 4):
+            assert decoder.beam_decode(memories, 10, width) == \
+                [recompute_beam(decoder, m, 10, width) for m in memories]
+
+    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2), (4, 2)])
+    def test_rows_keep_their_memory_through_select(self, heads, layers):
+        decoder = make_decoder(heads=heads, layers=layers, seed=50 + heads)
+        memories = mixed_memories(51, (7, 1, 3))
+        pick = rng(52)
+        state = DecodeState(decoder, memories)
+        assert state.mask.shape == (3, 1, 1, 7)
+        rows = [(m, [BOS]) for m in memories]
+        for _ in range(decoder.max_positions):
+            logits = state.step([prefix[-1] for _, prefix in rows]).data
+            for row, (memory, prefix) in zip(logits, rows):
+                expected = decoder.teacher_forced_logits(memory, prefix).data[-1]
+                np.testing.assert_allclose(row, expected, atol=1e-5)
+            kept = pick.integers(0, len(rows), size=pick.integers(1, 6))
+            state.select(kept)
+            rows = [(rows[r][0], rows[r][1] + [int(pick.integers(0, decoder.vocab_size))])
+                    for r in kept]
+
+    def test_equal_lengths_need_no_mask(self):
+        decoder = make_decoder(seed=53)
+        assert DecodeState(decoder, mixed_memories(54, (4, 4))).mask is None
+        assert DecodeState(decoder, mixed_memories(54, (4,))).mask is None
+
+    def test_no_memory_rejected(self):
+        with pytest.raises(ShapeError):
+            DecodeState(make_decoder(seed=55), [])
+
+    def test_rows_that_end_drop_out(self, monkeypatch):
+        decoder = make_decoder(seed=20)
+        decoder.out.bias.data[EOS] = 1.0
+        memories = mixed_memories(20)
+        expected = [recompute_greedy(decoder, m, 12) for m in memories]
+        lengths = [len(ids) for ids in expected]
+        assert lengths == [5, 4, 2]  # each caption ends at its own step
+        steps = count_steps(monkeypatch)
+        assert decoder.greedy_decode(memories, 12) == expected
+        assert steps == [sum(n >= t for n in lengths) for t in range(max(lengths) + 1)]
+        steps.clear()
+        assert decoder.beam_decode(memories, 12, 3) == \
+            [recompute_beam(decoder, m, 12, 3) for m in memories]
+        assert steps[-1] < steps[1]  # finished beams gave up their rows

@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_config as corpus_config
 from quag.data import BOS, EOS, EpisodeRecord, step_frame_spans
-from quag.heads import StepBoundaryState, predict_moment_span, step_distribution
-from quag.model import FUSION_MODES, ModelConfig, QuagParams, encode_trunk, predict
-from quag.tensor import ShapeError, grad_check, log_softmax, slice_rows
+from quag.heads import (
+    StepBoundaryState,
+    decode_moment,
+    decode_step_caption,
+    predict_moment_span,
+    predict_step_boundaries,
+    step_distribution,
+)
+from quag.model import (
+    FUSION_MODES,
+    ModelConfig,
+    PredictionSet,
+    QuagParams,
+    encode_trunk,
+    predict,
+)
+from quag.tensor import ShapeError, grad_check, log_softmax, no_grad, slice_rows
 from quag.trainer import batch_loss
 
 
@@ -60,6 +75,12 @@ class TestConfig:
         assert again == cfg
         assert again.digest() == cfg.digest()
         assert cfg.digest() != tiny_config(lam=0.4).digest()
+
+    def test_int_for_a_float_field_gives_the_same_config(self):
+        as_int, as_float = ModelConfig.desk_scale(lr=1), ModelConfig.desk_scale(lr=1.0)
+        assert as_int.digest() == as_float.digest()
+        assert type(as_int.lr) is float and as_int == as_float
+        assert ModelConfig.from_dict({"weight_decay": 0}).to_dict()["weight_decay"] == 0.0
 
     def test_desk_scale_preset(self):
         cfg = ModelConfig.desk_scale()
@@ -310,3 +331,37 @@ class TestPredict:
         a = predict(episode, params)
         b = predict(episode, params)
         assert a == b
+
+
+def predict_step_by_step(episode, params):
+    """The per-step predict that decoding all captions as rows replaced: one
+    single-memory decode per step."""
+    config = params.config
+    with no_grad():
+        enhanced, _, _ = encode_trunk(episode, params)
+        span = decode_moment(predict_moment_span(enhanced, params.start_head, params.end_head))
+        boundaries = predict_step_boundaries(enhanced, span, params.step_head,
+                                             params.boundary_marker, config.max_steps)
+        captions = [decode_step_caption(
+            enhanced, step_span if config.caption_context == "step" else span,
+            params.decoder, config.max_caption_len, beam_width=config.beam_width)
+            for step_span in step_frame_spans(span[0], boundaries)]
+    return PredictionSet(episode.id, span, boundaries, captions)
+
+
+class TestPredictAgainstStepByStep:
+    @pytest.mark.parametrize("beam_width", [1, 3])
+    @pytest.mark.parametrize("context", ["step", "moment"])
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_same_prediction(self, tiny_corpus, fusion, context, beam_width):
+        episodes = tiny_corpus.load_episodes()
+        predictions = []
+        for seed in (0, 1):
+            params = QuagParams(corpus_config(tiny_corpus, fusion=fusion, seed=seed,
+                                              caption_context=context, beam_width=beam_width))
+            predicted = [predict(episode, params) for episode in episodes]
+            assert predicted == [predict_step_by_step(episode, params) for episode in episodes]
+            predictions += predicted
+        # rows of several memories of unequal lengths were decoded
+        assert any(len({b - a for a, b in zip([p.moment[0] - 1] + p.steps, p.steps)}) > 1
+                   for p in predictions)
