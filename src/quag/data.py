@@ -340,8 +340,16 @@ class SyntheticSpec:
             raise ValueError(f"n_frames must be >= 4, got {self.n_frames}")
         if self.vocab_size < 8:
             raise ValueError(f"vocab_size must be >= 8, got {self.vocab_size}")
-        if self.n_episodes < 1:
-            raise ValueError("n_episodes must be positive")
+        for name in ("n_episodes", "visual_dim", "audio_dim", "query_dim", "n_topics",
+                     "n_step_types", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Each step type needs its own caption template of 3 to 5 words.
+        words = self.vocab_size - len(_SPECIALS)
+        templates = words**3 + words**4 + words**5
+        if self.n_step_types > templates:
+            raise ValueError(f"n_step_types must be <= {templates}, the number of distinct "
+                             f"caption templates, got {self.n_step_types}")
         # The step vectors are what is left of random vectors once the topics'
         # visual signals are projected out; with no dimension left, that is
         # rounding noise, and normalising it breaks the orthogonality.

@@ -12,8 +12,9 @@ gradient.
 Step captions are decoded on a ``DecodeState``, one row per caption, so the
 captions of an episode decode together, each against its own step's frames:
 the memories are padded to the longest and a key mask hides the padding.
-Cross-attention keys and values are projected once per decode, self-attention
-keys and values grow by one position per token, and each step feeds only the
+Each decoder-form ``layers.TransformerBlock`` projects its cross-attention
+keys and values once per decode (``start_cache``), its self-attention keys and
+values grow by one position per token, and each ``step`` feeds only the
 newest token of every row. Greedy decoding drops a row at EOS; beam search
 steps captions x live beams as rows. Training keeps the full-prefix
 ``teacher_forced_logits``; every row is held to the same ids as recomputing
@@ -28,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from quag.data import BOS, EOS
-from quag.layers import DecoderBlock, LinearLayer, linear, xavier_uniform
+from quag.layers import LinearLayer, TransformerBlock, linear, xavier_uniform
 from quag.tensor import (
     ShapeError,
     Tensor,
@@ -173,9 +174,12 @@ def predict_step_boundaries(frames: Tensor, span: tuple[int, int],
 
 
 class CaptionDecoder:
-    """Autoregressive transformer decoder over a frame memory."""
+    """Autoregressive transformer decoder over a frame memory: token and
+    position embeddings, decoder-form ``TransformerBlock``s (causal
+    self-attention, cross-attention, feed-forward), then the vocabulary
+    projection."""
 
-    def __init__(self, embed: Tensor, pos: Tensor, blocks: Sequence[DecoderBlock],
+    def __init__(self, embed: Tensor, pos: Tensor, blocks: Sequence[TransformerBlock],
                  out: LinearLayer):
         self.embed = embed
         self.pos = pos
@@ -189,7 +193,8 @@ class CaptionDecoder:
         return cls(
             Tensor(xavier_uniform(rng, vocab_size, dim), requires_grad=True),
             Tensor(xavier_uniform(rng, max_positions, dim), requires_grad=True),
-            [DecoderBlock.create(rng, dim, n_heads, ffn_dim) for _ in range(n_layers)],
+            [TransformerBlock.create(rng, dim, n_heads, ffn_dim, decoder=True)
+             for _ in range(n_layers)],
             LinearLayer.create(rng, dim, vocab_size),
         )
 
@@ -223,7 +228,7 @@ class CaptionDecoder:
             raise IndexError(f"token id outside vocabulary of size {self.vocab_size}")
         x = embed_rows(self.embed, ids) + slice_rows(self.pos, 0, len(ids))
         for block in self.blocks:
-            x = block(x, memory, drop_rate, rng)
+            x = block(x, memory, drop_rate=drop_rate, rng=rng)
         return linear(x, self.out)
 
     def greedy_decode(self, memories: Sequence[Tensor], max_len: int) -> list[list[int]]:

@@ -1,5 +1,6 @@
 """Reusable neural building blocks: linear layers, multi-head attention, and
-post-norm transformer encoder/decoder blocks.
+one post-norm transformer block class, whose decoder form adds causal
+masking and cross-attention to the encoder form.
 
 All parameters are created from a caller-supplied numpy Generator with
 Xavier-uniform weights and zero biases, in a fixed draw order, so a fixed seed
@@ -28,8 +29,7 @@ from quag.tensor import (
 __all__ = [
     "LinearLayer",
     "MultiHeadAttention",
-    "EncoderBlock",
-    "DecoderBlock",
+    "TransformerBlock",
     "linear",
     "mha",
     "project_heads",
@@ -197,62 +197,13 @@ def _ffn_width(dim: int, ffn_dim: Optional[int]) -> int:
     return ffn_dim
 
 
-class EncoderBlock:
-    """Post-norm transformer block: self-attention and a GELU feed-forward,
-    each wrapped in residual + layer normalization."""
+class TransformerBlock:
+    """Post-norm transformer block (Vaswani et al., arXiv:1706.03762): self-
+    attention and a GELU feed-forward, each wrapped in residual + layer norm.
+    A decoder block also has ``cross_attn`` over an encoder memory between
+    the two, and only a decoder block masks its self-attention causally."""
 
-    def __init__(self, attn: MultiHeadAttention, ffn_in: LinearLayer, ffn_out: LinearLayer,
-                 ln1_gain: Tensor, ln1_bias: Tensor, ln2_gain: Tensor, ln2_bias: Tensor):
-        self.attn = attn
-        self.ffn_in = ffn_in
-        self.ffn_out = ffn_out
-        self.ln1_gain, self.ln1_bias = ln1_gain, ln1_bias
-        self.ln2_gain, self.ln2_bias = ln2_gain, ln2_bias
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, dim: int, n_heads: int,
-               ffn_dim: Optional[int] = None) -> "EncoderBlock":
-        ffn_dim = _ffn_width(dim, ffn_dim)
-        return cls(
-            MultiHeadAttention.create(rng, dim, n_heads),
-            LinearLayer.create(rng, dim, ffn_dim),
-            LinearLayer.create(rng, ffn_dim, dim),
-            Tensor(np.ones(dim, dtype=np.float32), requires_grad=True),
-            Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True),
-            Tensor(np.ones(dim, dtype=np.float32), requires_grad=True),
-            Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True),
-        )
-
-    def __call__(self, x: Tensor, drop_rate: float = 0.0,
-                 rng: Optional[np.random.Generator] = None) -> Tensor:
-        h = layer_norm(x + dropout(self.attn(x, x, x), drop_rate, rng),
-                       self.ln1_gain, self.ln1_bias)
-        f = self.ffn_out(gelu(self.ffn_in(h)))
-        return layer_norm(h + dropout(f, drop_rate, rng), self.ln2_gain, self.ln2_bias)
-
-    def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.attn.named_params(f"{prefix}.attn")
-        yield from self.ffn_in.named_params(f"{prefix}.ffn_in")
-        yield from self.ffn_out.named_params(f"{prefix}.ffn_out")
-        yield f"{prefix}.ln1.gain", self.ln1_gain
-        yield f"{prefix}.ln1.bias", self.ln1_bias
-        yield f"{prefix}.ln2.gain", self.ln2_gain
-        yield f"{prefix}.ln2.bias", self.ln2_bias
-
-
-def encoder_forward(x: Tensor, blocks: Sequence[EncoderBlock], drop_rate: float = 0.0,
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Apply encoder blocks in sequence; shape is preserved."""
-    for block in blocks:
-        x = block(x, drop_rate, rng)
-    return x
-
-
-class DecoderBlock:
-    """Post-norm decoder block: causal self-attention, cross-attention over an
-    encoder memory, then a GELU feed-forward."""
-
-    def __init__(self, self_attn: MultiHeadAttention, cross_attn: MultiHeadAttention,
+    def __init__(self, self_attn: MultiHeadAttention, cross_attn: Optional[MultiHeadAttention],
                  ffn_in: LinearLayer, ffn_out: LinearLayer,
                  ln_gains: Sequence[Tensor], ln_biases: Sequence[Tensor]):
         self.self_attn = self_attn
@@ -264,34 +215,37 @@ class DecoderBlock:
 
     @classmethod
     def create(cls, rng: np.random.Generator, dim: int, n_heads: int,
-               ffn_dim: Optional[int] = None) -> "DecoderBlock":
+               ffn_dim: Optional[int] = None, decoder: bool = False) -> "TransformerBlock":
         ffn_dim = _ffn_width(dim, ffn_dim)
+        # The arguments draw from ``rng`` in this order, which fixes the weights.
         return cls(
             MultiHeadAttention.create(rng, dim, n_heads),
-            MultiHeadAttention.create(rng, dim, n_heads),
+            MultiHeadAttention.create(rng, dim, n_heads) if decoder else None,
             LinearLayer.create(rng, dim, ffn_dim),
             LinearLayer.create(rng, ffn_dim, dim),
-            [Tensor(np.ones(dim, dtype=np.float32), requires_grad=True) for _ in range(3)],
-            [Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True) for _ in range(3)],
+            [Tensor(np.ones(dim, dtype=np.float32), requires_grad=True) for _ in range(2 + decoder)],
+            [Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True) for _ in range(2 + decoder)],
         )
 
-    def __call__(self, x: Tensor, memory: Tensor, drop_rate: float = 0.0,
-                 rng: Optional[np.random.Generator] = None) -> Tensor:
-        mask = causal_mask(x.shape[0])
-        h = layer_norm(x + dropout(self.self_attn(x, x, x, mask=mask), drop_rate, rng),
-                       self.ln_gains[0], self.ln_biases[0])
-        h = layer_norm(h + dropout(self.cross_attn(h, memory, memory), drop_rate, rng),
-                       self.ln_gains[1], self.ln_biases[1])
-        return self._feed_forward(h, drop_rate, rng)
+    def _sublayer(self, i: int, x: Tensor, y: Tensor, drop_rate: float = 0.0,
+                  rng: Optional[np.random.Generator] = None) -> Tensor:
+        """Residual, dropout and layer norm i around sublayer output ``y``."""
+        return layer_norm(x + dropout(y, drop_rate, rng), self.ln_gains[i], self.ln_biases[i])
 
-    def _feed_forward(self, h: Tensor, drop_rate: float,
-                      rng: Optional[np.random.Generator]) -> Tensor:
-        f = self.ffn_out(gelu(self.ffn_in(h)))
-        return layer_norm(h + dropout(f, drop_rate, rng), self.ln_gains[2], self.ln_biases[2])
+    def __call__(self, x: Tensor, memory: Optional[Tensor] = None, *,
+                 drop_rate: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+        """The block over [L x D] rows; a decoder block also needs the
+        ``memory`` [M x D] it cross-attends to."""
+        decoder = self.cross_attn is not None
+        mask = causal_mask(x.shape[0]) if decoder else None
+        h = self._sublayer(0, x, self.self_attn(x, x, x, mask=mask), drop_rate, rng)
+        if decoder:
+            h = self._sublayer(1, h, self.cross_attn(h, memory, memory), drop_rate, rng)
+        return self._sublayer(-1, h, self.ffn_out(gelu(self.ffn_in(h))), drop_rate, rng)
 
     def start_cache(self, memory: Tensor, rows: int) -> tuple[np.ndarray, ...]:
-        """The ``step`` cache of R = ``rows`` rows, row r decoding against
-        rows [r*M, (r+1)*M) of ``memory`` [R*M x D].
+        """The ``step`` cache of a decoder block for R = ``rows`` rows, row r
+        decoding against rows [r*M, (r+1)*M) of ``memory`` [R*M x D].
 
         It holds the self-attention keys [R, h, D/h, t] and values
         [R, h, t, D/h] of the t positions decoded so far (none yet), then the
@@ -310,7 +264,8 @@ class DecoderBlock:
 
     def step(self, x: Tensor, cache: tuple[np.ndarray, ...], memory_mask: Optional[np.ndarray]
              ) -> tuple[Tensor, tuple[np.ndarray, ...]]:
-        """Run one new position of R rows against a ``start_cache`` cache.
+        """Run one new position of R rows through a decoder block against a
+        ``start_cache`` cache.
 
         ``x`` is [R x D], each row the newest position of its own sequence.
         ``memory_mask``, boolean [R, 1, 1, M] or None, marks the padded
@@ -328,19 +283,29 @@ class DecoderBlock:
         values = np.concatenate(
             [past_v, (x.data @ attn.wv.data).reshape(rows, heads, 1, -1)], axis=-2)
         q = reshape(matmul(x, attn.wq), (rows, heads, 1, -1))
-        h = layer_norm(x + attend(q, Tensor(keys), Tensor(values), attn)[0],
-                       self.ln_gains[0], self.ln_biases[0])
+        h = self._sublayer(0, x, attend(q, Tensor(keys), Tensor(values), attn)[0])
         attn = self.cross_attn
         q = reshape(matmul(h, attn.wq), (rows, attn.n_heads, 1, -1))
-        h = layer_norm(h + attend(q, Tensor(mem_k), Tensor(mem_v), attn, memory_mask)[0],
-                       self.ln_gains[1], self.ln_biases[1])
-        return self._feed_forward(h, 0.0, None), (keys, values, mem_k, mem_v)
+        h = self._sublayer(1, h, attend(q, Tensor(mem_k), Tensor(mem_v), attn, memory_mask)[0])
+        h = self._sublayer(2, h, self.ffn_out(gelu(self.ffn_in(h))))
+        return h, (keys, values, mem_k, mem_v)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield from self.self_attn.named_params(f"{prefix}.self_attn")
-        yield from self.cross_attn.named_params(f"{prefix}.cross_attn")
+        # An encoder block's self-attention keeps its registry name "attn".
+        attn_name = "attn" if self.cross_attn is None else "self_attn"
+        yield from self.self_attn.named_params(f"{prefix}.{attn_name}")
+        if self.cross_attn is not None:
+            yield from self.cross_attn.named_params(f"{prefix}.cross_attn")
         yield from self.ffn_in.named_params(f"{prefix}.ffn_in")
         yield from self.ffn_out.named_params(f"{prefix}.ffn_out")
         for i, (g, b) in enumerate(zip(self.ln_gains, self.ln_biases), start=1):
             yield f"{prefix}.ln{i}.gain", g
             yield f"{prefix}.ln{i}.bias", b
+
+
+def encoder_forward(x: Tensor, blocks: Sequence[TransformerBlock], drop_rate: float = 0.0,
+                    rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Apply encoder blocks in sequence; shape is preserved."""
+    for block in blocks:
+        x = block(x, drop_rate=drop_rate, rng=rng)
+    return x

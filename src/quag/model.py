@@ -26,7 +26,7 @@ from quag.heads import (
     predict_moment_span,
     predict_step_boundaries,
 )
-from quag.layers import EncoderBlock, LinearLayer, encoder_forward, xavier_uniform
+from quag.layers import LinearLayer, TransformerBlock, encoder_forward, xavier_uniform
 from quag.msp import MspParams, cross_modal_interact, fuse_audio_visual, global_pool
 from quag.qc2 import Qc2Params, apply_filtration, build_query_centric_repr, compute_gates, fuse_query_context
 from quag.tensor import ShapeError, Tensor, no_grad, slice_rows
@@ -178,7 +178,7 @@ class QuagParams:
         self.pos_embed = Tensor(xavier_uniform(rng, config.max_frames, d), requires_grad=True)
         self.msp = MspParams.create(rng, d, config.n_heads)
         self.qc2 = Qc2Params.create(rng, d, config.n_heads)
-        self.encoder = [EncoderBlock.create(rng, d, config.n_heads, config.ffn_dim)
+        self.encoder = [TransformerBlock.create(rng, d, config.n_heads, config.ffn_dim)
                         for _ in range(config.encoder_layers)]
         self.start_head = LinearLayer.create(rng, d, 1)
         self.end_head = LinearLayer.create(rng, d, 1)
@@ -304,10 +304,12 @@ def predict(episode: EpisodeRecord, params: QuagParams) -> PredictionSet:
         span = decode_moment(predict_moment_span(enhanced, params.start_head, params.end_head))
         boundaries = predict_step_boundaries(enhanced, span, params.step_head,
                                              params.boundary_marker, config.max_steps)
-        spans = step_frame_spans(span[0], boundaries) if config.caption_context == "step" \
-            else [span] * len(boundaries)
+        per_step = config.caption_context == "step"
+        spans = step_frame_spans(span[0], boundaries) if per_step else [span]
         captions = params.decoder.beam_decode(
             [slice_rows(enhanced, lo, hi + 1) for lo, hi in spans],
             config.max_caption_len, config.beam_width)
+        if not per_step:  # every step shares the moment's memory: decode once, copy
+            captions = [list(captions[0]) for _ in boundaries]
     return PredictionSet(episode_id=episode.id, moment=span, steps=boundaries,
                          captions=captions)

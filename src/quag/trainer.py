@@ -294,7 +294,9 @@ def save_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
 
     The entries stream to a temp file beside ``path``, which then replaces
     ``path`` in one rename. If the process dies mid-write, ``path`` still
-    holds the previous checkpoint.
+    holds the previous checkpoint. The temp file is fsynced before the rename
+    and the directory after it, so after a power loss ``path`` holds either
+    the previous checkpoint or the whole new one.
     """
     path = Path(path)
     digest = config.digest().encode("ascii")
@@ -313,7 +315,14 @@ def save_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
                 f.write(struct.pack("<I", len(encoded)) + encoded + arr.dtype.str.encode("ascii")
                         + struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
                 f.write(arr.data)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)  # makes the rename itself durable
+        finally:
+            os.close(fd)
     finally:
         tmp.unlink(missing_ok=True)
 

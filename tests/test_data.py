@@ -294,6 +294,19 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="vocab_size"):
             generate_synthetic_dataset(tmp_path, SyntheticSpec(vocab_size=4))
 
+    @pytest.mark.parametrize("field", ["visual_dim", "audio_dim", "query_dim", "n_topics",
+                                       "n_step_types", "max_steps"])
+    def test_extent_or_count_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            SyntheticSpec(**{field: 0}).validate()
+
+    def test_more_step_types_than_caption_templates_rejected(self):
+        # 4 words give 4**3 + 4**4 + 4**5 = 1344 distinct templates of 3 to 5
+        # words; the generator would search forever for the 1345th.
+        SyntheticSpec(vocab_size=8, n_step_types=1344).validate()
+        with pytest.raises(ValueError, match="n_step_types"):
+            SyntheticSpec(vocab_size=8, n_step_types=1345).validate()
+
     @pytest.mark.parametrize("visual_dim", [3, 4])
     def test_visual_dim_must_exceed_topics(self, tmp_path, visual_dim):
         spec = SyntheticSpec(seed=0, visual_dim=visual_dim, n_topics=4)

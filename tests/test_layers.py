@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from quag.layers import (
-    DecoderBlock,
-    EncoderBlock,
     LinearLayer,
     MultiHeadAttention,
+    TransformerBlock,
     causal_mask,
     encoder_forward,
     linear,
@@ -189,29 +188,37 @@ class TestMha:
 
 class TestEncoder:
     def test_zeroed_projections_leave_normalized_residual(self):
-        block = EncoderBlock.create(rng(24), 4, 2)
-        block.attn.wo.data[:] = 0.0
+        block = TransformerBlock.create(rng(24), 4, 2)
+        block.self_attn.wo.data[:] = 0.0
         block.ffn_out.weight.data[:] = 0.0
         x = Tensor(rng(25).standard_normal((3, 4)).astype(np.float32))
         out = block(x)
-        ln1 = layer_norm(x, block.ln1_gain, block.ln1_bias)
-        expected = layer_norm(ln1, block.ln2_gain, block.ln2_bias)
+        ln1 = layer_norm(x, block.ln_gains[0], block.ln_biases[0])
+        expected = layer_norm(ln1, block.ln_gains[1], block.ln_biases[1])
         np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
 
     def test_single_position(self):
-        block = EncoderBlock.create(rng(26), 4, 2)
+        block = TransformerBlock.create(rng(26), 4, 2)
         out = block(Tensor(rng(27).standard_normal((1, 4)).astype(np.float32)))
         assert out.shape == (1, 4)
         assert np.isfinite(out.data).all()
 
+    def test_attends_to_later_positions(self):
+        # only a decoder block masks its self-attention causally
+        block = TransformerBlock.create(rng(55), 4, 2)
+        x = rng(56).standard_normal((5, 4)).astype(np.float32)
+        perturbed = x.copy()
+        perturbed[3] += 10.0
+        assert not np.allclose(block(Tensor(perturbed)).data[0], block(Tensor(x)).data[0])
+
     @pytest.mark.parametrize("length", [1, 5, 9])
     def test_shape_preserved(self, length):
-        blocks = [EncoderBlock.create(rng(28 + i), 8, 2) for i in range(2)]
+        blocks = [TransformerBlock.create(rng(28 + i), 8, 2) for i in range(2)]
         x = Tensor(rng(30).standard_normal((length, 8)).astype(np.float32))
         assert encoder_forward(x, blocks).shape == (length, 8)
 
     def test_gradient_through_two_blocks(self):
-        blocks = [EncoderBlock.create(rng(31 + i), 4, 2) for i in range(2)]
+        blocks = [TransformerBlock.create(rng(31 + i), 4, 2) for i in range(2)]
         x = Tensor(rng(33).standard_normal((3, 4)).astype(np.float32), requires_grad=True)
         params = [x] + [t for b in blocks for _, t in b.named_params("b")]
         err = grad_check(lambda: sum_all(encoder_forward(x, blocks)), params,
@@ -219,13 +226,13 @@ class TestEncoder:
         assert err < 1e-4
 
 
-class TestDecoderBlock:
+class TestDecoder:
     def test_causal_mask_shape(self):
         m = causal_mask(4)
         assert m[0, 1] and not m[1, 0] and not m.diagonal().any()
 
     def test_forward_and_gradient(self):
-        block = DecoderBlock.create(rng(34), 4, 2)
+        block = TransformerBlock.create(rng(34), 4, 2, decoder=True)
         x = Tensor(rng(35).standard_normal((3, 4)).astype(np.float32), requires_grad=True)
         memory = Tensor(rng(36).standard_normal((5, 4)).astype(np.float32), requires_grad=True)
         out = block(x, memory)
@@ -235,7 +242,7 @@ class TestDecoderBlock:
         assert err < 1e-4
 
     def test_causality(self):
-        block = DecoderBlock.create(rng(37), 4, 2)
+        block = TransformerBlock.create(rng(37), 4, 2, decoder=True)
         memory = Tensor(rng(38).standard_normal((4, 4)).astype(np.float32))
         x = rng(39).standard_normal((5, 4)).astype(np.float32)
         base = block(Tensor(x), memory).data
@@ -247,20 +254,21 @@ class TestDecoderBlock:
 
 
 def test_parameter_names_are_unique_and_ordered():
-    block = DecoderBlock.create(rng(40), 4, 2)
+    block = TransformerBlock.create(rng(40), 4, 2, decoder=True)
     names = [n for n, _ in block.named_params("dec")]
     assert len(names) == len(set(names))
     assert names[0] == "dec.self_attn.wq"
 
 
-@pytest.mark.parametrize("block_cls", [EncoderBlock, DecoderBlock])
+@pytest.mark.parametrize("decoder", [False, True], ids=["encoder", "decoder"])
 class TestFeedForwardWidth:
-    def test_none_means_four_times_dim_and_a_width_is_kept(self, block_cls):
-        assert block_cls.create(rng(41), 8, 2).ffn_in.weight.shape == (8, 32)
-        block = block_cls.create(rng(41), 8, 2, 3)
+    def test_none_means_four_times_dim_and_a_width_is_kept(self, decoder):
+        block = TransformerBlock.create(rng(41), 8, 2, decoder=decoder)
+        assert block.ffn_in.weight.shape == (8, 32)
+        block = TransformerBlock.create(rng(41), 8, 2, 3, decoder=decoder)
         assert block.ffn_in.weight.shape == (8, 3) and block.ffn_out.weight.shape == (3, 8)
 
     @pytest.mark.parametrize("ffn_dim", [0, -3])
-    def test_width_below_one_rejected(self, block_cls, ffn_dim):
+    def test_width_below_one_rejected(self, decoder, ffn_dim):
         with pytest.raises(ValueError, match="ffn_dim"):
-            block_cls.create(rng(42), 8, 2, ffn_dim)
+            TransformerBlock.create(rng(42), 8, 2, ffn_dim, decoder=decoder)

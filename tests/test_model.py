@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,26 @@ class TestRegistry:
         params = QuagParams(tiny_config())
         grouped = [name for bucket in params.groups().values() for name in bucket]
         assert sorted(grouped) == sorted(params.named_parameters())
+
+    def test_block_names_and_initial_weights_are_pinned(self):
+        # Checkpoints store entries by these names, and a seed's weights
+        # depend on the draw order: renaming or reordering breaks both.
+        params = QuagParams(tiny_config())
+        names = list(params.named_parameters())
+        tail = ["ffn_in.weight", "ffn_in.bias", "ffn_out.weight", "ffn_out.bias",
+                "ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias"]
+        assert [n for n in names if n.startswith("encoder.0.")] == [
+            f"encoder.0.{n}" for n in ["attn.wq", "attn.wk", "attn.wv", "attn.wo"] + tail]
+        assert [n for n in names if n.startswith("decoder.blocks.0.")] == [
+            f"decoder.blocks.0.{n}" for n in
+            ["self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
+             "cross_attn.wq", "cross_attn.wk", "cross_attn.wv", "cross_attn.wo"]
+            + tail + ["ln3.gain", "ln3.bias"]]
+        digest = hashlib.sha256()
+        for t in params.named_parameters().values():
+            digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+        assert digest.hexdigest() == \
+            "85eb99fba55e7a6bf712d7895804cc105344581593f6db4148593e7b64769034"
 
 
 def trunk(episode, params):
@@ -331,6 +353,23 @@ class TestPredict:
         a = predict(episode, params)
         b = predict(episode, params)
         assert a == b
+
+    def test_moment_context_decodes_the_moment_once(self, tiny_corpus, monkeypatch):
+        params = QuagParams(corpus_config(tiny_corpus, fusion="joint",
+                                          caption_context="moment"))
+        decode, calls = params.decoder.beam_decode, []
+
+        def recording_decode(memories, max_len, beam_width):
+            calls.append(len(memories))
+            return decode(memories, max_len, beam_width)
+
+        monkeypatch.setattr(params.decoder, "beam_decode", recording_decode)
+        predictions = [predict(episode, params) for episode in tiny_corpus.load_episodes()]
+        assert calls == [1] * len(predictions)
+        several = [p.captions for p in predictions if len(p.captions) > 1]
+        assert several
+        for first, *rest in several:
+            assert all(c == first and c is not first for c in rest)
 
 
 def predict_step_by_step(episode, params):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import signal
 import struct
 
@@ -401,6 +402,28 @@ class TestCheckpointFormat:
             signal.signal(signal.SIGXFSZ, handler)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_file_is_fsynced_before_the_rename_and_directory_after(
+            self, tiny_corpus, tmp_path, monkeypatch):
+        config = tiny_config(tiny_corpus)
+        model, optimizer = _trained_state(config)
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(trainer.os, "fsync", recording_fsync)
+        monkeypatch.setattr(trainer.os, "replace", recording_replace)
+        path = tmp_path / "ckpt.qgck"
+        save_checkpoint(path, config, model, optimizer, epoch=1)
+        written, directory = path.stat().st_ino, tmp_path.stat().st_ino
+        assert calls == [("fsync", written), ("replace", written), ("fsync", directory)]
 
 
 class TestTrainEntryPoint:
