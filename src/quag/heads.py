@@ -305,6 +305,9 @@ class DecodeState:
     projected once for all rows, and the self-attention keys and values of
     the positions decoded so far grow by one per ``step``. A boolean key mask
     [R, 1, 1, M] marks padded positions; memories of one length get none.
+    Every memory must have a position, so no row is fully masked: that is
+    checked once here, and ``step`` hands the mask to the attention core
+    unchecked.
     ``select`` reorders, repeats or drops rows, indexing caches and mask
     alike, so each row keeps its memory as greedy drops finished captions and
     beam search follows the surviving beams. Invariant: row r's ``step``
@@ -317,6 +320,8 @@ class DecodeState:
         if not memories:
             raise ShapeError("DecodeState needs at least one memory")
         lengths = np.array([m.shape[0] for m in memories])
+        if lengths.min() < 1:
+            raise ShapeError("DecodeState got a memory with no positions")
         width = int(lengths.max())
         self.decoder = decoder
         self.rows = len(memories)

@@ -2,6 +2,12 @@
 one post-norm transformer block class, whose decoder form adds causal
 masking and cross-attention to the encoder form.
 
+Multi-head attention is the three input projections, one fused
+``tensor.attention`` graph node for the whole core (head split, scaled
+scores, mask, softmax, weighted sum and head merge) and the output
+projection. The cached decoder ``step`` runs the same numpy core,
+``tensor.attention_core``, without recording a graph.
+
 All parameters are created from a caller-supplied numpy Generator with
 Xavier-uniform weights and zero biases, in a fixed draw order, so a fixed seed
 yields a reproducible model.
@@ -17,13 +23,13 @@ import numpy as np
 from quag.tensor import (
     ShapeError,
     Tensor,
+    attention,
+    attention_core,
     gelu,
     layer_norm,
-    masked_softmax,
     matmul,
     mul,
     reshape,
-    transpose,
 )
 
 __all__ = [
@@ -32,8 +38,6 @@ __all__ = [
     "TransformerBlock",
     "linear",
     "mha",
-    "project_heads",
-    "attend",
     "encoder_forward",
     "xavier_uniform",
     "causal_mask",
@@ -127,60 +131,19 @@ class MultiHeadAttention:
 
 
 def mha(query: Tensor, key: Tensor, value: Tensor, attn: MultiHeadAttention,
-        mask: Optional[np.ndarray] = None, return_weights: bool = False):
-    """Multi-head attention over [Lq x D] queries and [Lk x D] keys/values.
+        mask: Optional[np.ndarray] = None) -> Tensor:
+    """Multi-head attention over [Lq x D] queries and [Lk x D] keys/values:
+    the ``wq``/``wk``/``wv`` projections, the fused ``tensor.attention`` core
+    and ``wo``, five graph nodes in all.
 
-    Head i attends with channels [i*D/h, (i+1)*D/h) of the projections; all h
-    heads run as one stacked [h x Lq x Lk] product. ``mask`` is boolean
-    [Lq x Lk] with True marking keys a query must not attend to, shared by
-    every head; masked keys receive exactly zero weight, and a fully-masked
-    query row is an error. With ``return_weights`` the attention weights are
-    returned too, as an [h x Lq x Lk] array.
+    Head i attends with channels [i*D/h, (i+1)*D/h) of the projections.
+    ``mask`` is boolean [Lq x Lk] with True marking keys a query must not
+    attend to, shared by every head; masked keys receive exactly zero weight,
+    and a fully-masked query row is an error.
     """
-    dim = attn.dim
-    if query.ndim != 2 or query.shape[1] != dim:
-        raise ShapeError(f"mha query shape {query.shape} incompatible with dim {dim}")
-    if key.ndim != 2 or key.shape[1] != dim or value.shape != key.shape:
-        raise ShapeError(
-            f"mha key/value shapes {key.shape}/{value.shape} incompatible with dim {dim}"
-        )
-    n_q, n_k = query.shape[0], key.shape[0]
-    if mask is not None and mask.shape != (n_q, n_k):
-        raise ShapeError(f"mha mask shape {mask.shape} != ({n_q}, {n_k})")
-    q = project_heads(query, attn.wq, attn.n_heads, (1, 0, 2))
-    k = project_heads(key, attn.wk, attn.n_heads, (1, 2, 0))
-    v = project_heads(value, attn.wv, attn.n_heads, (1, 0, 2))
-    out, w = attend(q, k, v, attn, mask)
-    if return_weights:
-        return out, w.data
-    return out
-
-
-def project_heads(x: Tensor, weight: Tensor, n_heads: int, axes: Sequence[int]) -> Tensor:
-    """Project [L x D] rows through ``weight`` and split the channels into
-    heads: [L x h x D/h], permuted by ``axes``."""
-    n = x.shape[0]
-    return transpose(reshape(matmul(x, weight), (n, n_heads, -1)), axes)
-
-
-def attend(q: Tensor, k: Tensor, v: Tensor, attn: MultiHeadAttention,
-           mask: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
-    """Scores, softmax, head merge and ``wo``: the attention core shared by
-    ``mha`` and the cached decoder step.
-
-    Either ``q`` is [h, Lq, D/h], ``k`` [h, D/h, Lk] and ``v`` [h, Lk, D/h],
-    giving an [Lq x D] output, or each carries one more leading axis of R
-    rows with a single query position each (``q`` [R, h, 1, D/h]), giving
-    [R x D]. A single query position merges the heads back into head-major
-    channels by a reshape alone. Also returns the weights,
-    [..., h, Lq, Lk].
-    """
-    scores = matmul(q, k) * (1.0 / math.sqrt(q.shape[-1]))
-    w = masked_softmax(scores, mask)
-    ctx = matmul(w, v)
-    if ctx.shape[-2] > 1:
-        ctx = transpose(ctx, (1, 0, 2))
-    return matmul(reshape(ctx, (-1, attn.dim)), attn.wo), w
+    ctx = attention(matmul(query, attn.wq), matmul(key, attn.wk), matmul(value, attn.wv),
+                    attn.n_heads, mask)
+    return matmul(ctx, attn.wo)
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -257,22 +220,27 @@ class TransformerBlock:
         heads = attn.n_heads
         head_dim = attn.dim // heads
         split = (rows, -1, heads, head_dim)
-        mem_k = transpose(reshape(matmul(memory, attn.wk), split), (0, 2, 3, 1)).data
-        mem_v = transpose(reshape(matmul(memory, attn.wv), split), (0, 2, 1, 3)).data
+        mem_k = (memory.data @ attn.wk.data).reshape(split).transpose(0, 2, 3, 1)
+        mem_v = (memory.data @ attn.wv.data).reshape(split).transpose(0, 2, 1, 3)
+        mem_k, mem_v = np.ascontiguousarray(mem_k), np.ascontiguousarray(mem_v)
         return (np.zeros((rows, heads, head_dim, 0), mem_k.dtype),
                 np.zeros((rows, heads, 0, head_dim), mem_v.dtype), mem_k, mem_v)
 
     def step(self, x: Tensor, cache: tuple[np.ndarray, ...], memory_mask: Optional[np.ndarray]
              ) -> tuple[Tensor, tuple[np.ndarray, ...]]:
         """Run one new position of R rows through a decoder block against a
-        ``start_cache`` cache.
+        ``start_cache`` cache, in numpy: no graph is recorded.
 
         ``x`` is [R x D], each row the newest position of its own sequence.
         ``memory_mask``, boolean [R, 1, 1, M] or None, marks the padded
-        memory positions a row must not attend to. Returns the block output for
+        memory positions a row must not attend to; it is not checked here, so
+        every row must keep a memory position. Both attentions run on
+        ``tensor.attention_core``, the core of the training-path
+        ``tensor.attention``, with [R, h, 1, D/h] queries; one query position
+        merges its heads by a reshape alone. Returns the block output for
         those positions, equal to the last row of ``__call__`` over each
-        whole sequence and its own memory without dropout, and the cache
-        with their self-attention keys and values appended.
+        whole sequence and its own memory without dropout, and the cache with
+        their self-attention keys and values appended.
         """
         past_k, past_v, mem_k, mem_v = cache
         rows = x.shape[0]
@@ -282,11 +250,8 @@ class TransformerBlock:
             [past_k, (x.data @ attn.wk.data).reshape(rows, heads, -1, 1)], axis=-1)
         values = np.concatenate(
             [past_v, (x.data @ attn.wv.data).reshape(rows, heads, 1, -1)], axis=-2)
-        q = reshape(matmul(x, attn.wq), (rows, heads, 1, -1))
-        h = self._sublayer(0, x, attend(q, Tensor(keys), Tensor(values), attn)[0])
-        attn = self.cross_attn
-        q = reshape(matmul(h, attn.wq), (rows, attn.n_heads, 1, -1))
-        h = self._sublayer(1, h, attend(q, Tensor(mem_k), Tensor(mem_v), attn, memory_mask)[0])
+        h = self._sublayer(0, x, _cached_attention(attn, x, keys, values, None))
+        h = self._sublayer(1, h, _cached_attention(self.cross_attn, h, mem_k, mem_v, memory_mask))
         h = self._sublayer(2, h, self.ffn_out(gelu(self.ffn_in(h))))
         return h, (keys, values, mem_k, mem_v)
 
@@ -301,6 +266,16 @@ class TransformerBlock:
         for i, (g, b) in enumerate(zip(self.ln_gains, self.ln_biases), start=1):
             yield f"{prefix}.ln{i}.gain", g
             yield f"{prefix}.ln{i}.bias", b
+
+
+def _cached_attention(attn: MultiHeadAttention, x: Tensor, keys: np.ndarray,
+                      values: np.ndarray, mask: Optional[np.ndarray]) -> Tensor:
+    """``attn`` for R rows ``x`` [R x D] of one query position each, over
+    cached keys [R, h, D/h, t] and values [R, h, t, D/h], without a graph."""
+    rows = x.shape[0]
+    q = (x.data @ attn.wq.data).reshape(rows, attn.n_heads, 1, -1)
+    ctx = attention_core(q, keys, values, mask)[0]
+    return Tensor(ctx.reshape(rows, -1) @ attn.wo.data)
 
 
 def encoder_forward(x: Tensor, blocks: Sequence[TransformerBlock], drop_rate: float = 0.0,

@@ -35,6 +35,8 @@ __all__ = [
     "mean_axis",
     "sum_all",
     "masked_softmax",
+    "attention_core",
+    "attention",
     "log_softmax",
     "log_clamped",
     "sigmoid",
@@ -472,6 +474,76 @@ def masked_softmax(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         _accumulate(x, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
 
     return _node(s, (x,), backward)
+
+
+def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                   mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """``softmax(q @ k * scale) @ v`` in numpy over any matching leading axes:
+    q [..., Lq, d], k [..., d, Lk] (keys transposed), v [..., Lk, d], and
+    scale = 1/sqrt(d). ``mask``, boolean and broadcastable to [..., Lq, Lk],
+    is True at keys a query must not attend to; it is not checked here, so
+    every query row must keep a key. Returns the context [..., Lq, d] and the
+    weights [..., Lq, Lk]."""
+    s = q @ k
+    s *= s.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        np.copyto(s, -np.inf, where=mask)
+    s -= s.max(axis=-1, keepdims=True)
+    w = np.exp(s, out=s)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w @ v, w
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              mask: Optional[np.ndarray] = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one graph node.
+
+    ``q`` is [Lq x D] projected queries, ``k`` and ``v`` [Lk x D] projected
+    keys and values. Head i uses channels [i*D/h, (i+1)*D/h); the merged
+    [Lq x D] context keeps that head-major channel order. ``mask``, boolean
+    [Lq x Lk] and shared by every head, is True at keys a query must not
+    attend to; those get exactly zero weight, and a query row with every key
+    masked is an error. The backward is the softmax Jacobian-vector product
+    written out per head: dv = wᵀg, ds = (g vᵀ − Σ(g vᵀ ⊙ w)) ⊙ w · scale,
+    dq = ds k, dk = dsᵀ q.
+    """
+    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]:
+        raise ShapeError(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape} do not fit")
+    (n_q, dim), n_k = q.shape, k.shape[0]
+    if dim % n_heads != 0:
+        raise ShapeError(f"attention dim {dim} not divisible by {n_heads} heads")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n_q, n_k):
+            raise ShapeError(f"attention mask shape {mask.shape} != ({n_q}, {n_k})")
+        if mask.all(axis=-1).any():
+            raise ValueError("attention: a query row has every key masked")
+    split = (-1, n_heads, dim // n_heads)
+    # Contiguous head-major copies: the products then round as the
+    # per-head matmuls of stacked [h, L, D/h] tensors do.
+    qh = np.ascontiguousarray(q.data.reshape(split).transpose(1, 0, 2))
+    kh = np.ascontiguousarray(k.data.reshape(split).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(v.data.reshape(split).transpose(1, 0, 2))
+    ctx, w = attention_core(qh, kh, vh, mask)
+    scale = w.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
+
+    def merge(heads: np.ndarray) -> np.ndarray:
+        return heads.transpose(1, 0, 2).reshape(-1, dim)
+
+    def backward(g):
+        gh = g.reshape(split).transpose(1, 0, 2)
+        if v.requires_grad:
+            _accumulate(v, merge(np.swapaxes(w, -1, -2) @ gh))
+        ds = gh @ np.swapaxes(vh, -1, -2)
+        ds -= (ds * w).sum(axis=-1, keepdims=True)
+        ds *= w
+        ds *= scale
+        if q.requires_grad:
+            _accumulate(q, merge(ds @ np.swapaxes(kh, -1, -2)))
+        if k.requires_grad:
+            _accumulate(k, merge(np.swapaxes(ds, -1, -2) @ qh))
+
+    return _node(merge(ctx), (q, k, v), backward)
 
 
 def log_softmax(x: Tensor) -> Tensor:

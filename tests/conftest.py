@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from quag.data import SyntheticSpec, generate_synthetic_dataset
@@ -15,6 +16,17 @@ TINY_MODEL = dict(
     d_model=16, n_heads=2, encoder_layers=1, decoder_layers=1,
     max_caption_len=8, max_steps=6, epochs=5, tau=0.5,
 )
+
+
+def key_masks(n_q, n_k):
+    """No mask, a causal mask (query i sees keys up to i + max(Lk - Lq, 0))
+    and a key-padding mask keeping 1 + (3i mod Lk) keys of query row i."""
+    lengths = 1 + (np.arange(n_q) * 3) % n_k
+    return {
+        "none": None,
+        "causal": np.triu(np.ones((n_q, n_k), dtype=bool), k=1 + max(n_k - n_q, 0)),
+        "padded": np.arange(n_k) >= lengths[:, None],
+    }
 
 
 def tiny_config(manifest, **overrides):

@@ -418,6 +418,8 @@ class TestRowsOfSeveralMemories:
     def test_no_memory_rejected(self):
         with pytest.raises(ShapeError):
             DecodeState(make_decoder(seed=55), [])
+        with pytest.raises(ShapeError, match="no positions"):
+            DecodeState(make_decoder(seed=55), mixed_memories(56, (3,)) + [frames_tensor(0, 8)])
 
     def test_rows_that_end_drop_out(self, monkeypatch):
         decoder = make_decoder(seed=20)

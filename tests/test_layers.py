@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import key_masks
 from quag.layers import (
     LinearLayer,
     MultiHeadAttention,
@@ -10,7 +13,20 @@ from quag.layers import (
     linear,
     mha,
 )
-from quag.tensor import ShapeError, Tensor, grad_check, layer_norm, slice_rows, sum_all
+from quag.tensor import (
+    ComputationTape,
+    ShapeError,
+    Tensor,
+    attention_core,
+    grad_check,
+    layer_norm,
+    masked_softmax,
+    matmul,
+    reshape,
+    slice_rows,
+    sum_all,
+    transpose,
+)
 
 
 def rng(seed=0):
@@ -30,6 +46,32 @@ def reference_attention(q, k, v, scale, mask=None):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w = e / e.sum(axis=-1, keepdims=True)
     return w @ v
+
+
+def composed_mha(query, key, value, attn, mask=None):
+    """Multi-head attention composed of 16 graph nodes, as ``mha`` was before
+    the fused ``tensor.attention`` op: per projection a matmul, reshape and
+    transpose, then scores, scale, masked softmax, weighted sum, head merge
+    and ``wo``. The reference the fused op is held to."""
+    def heads(x, weight, axes):
+        return transpose(reshape(matmul(x, weight), (x.shape[0], attn.n_heads, -1)), axes)
+
+    q = heads(query, attn.wq, (1, 0, 2))
+    k = heads(key, attn.wk, (1, 2, 0))
+    v = heads(value, attn.wv, (1, 0, 2))
+    w = masked_softmax(matmul(q, k) * (1.0 / math.sqrt(q.shape[-1])), mask)
+    ctx = transpose(matmul(w, v), (1, 0, 2))
+    return matmul(reshape(ctx, (-1, attn.dim)), attn.wo)
+
+
+def core_weights(query, key, attn, mask=None):
+    """The [h x Lq x Lk] attention weights of ``attn``, read from the numpy
+    core that ``mha`` runs on."""
+    split = (-1, attn.n_heads, attn.dim // attn.n_heads)
+    q = (query.data @ attn.wq.data).reshape(split).transpose(1, 0, 2)
+    k = (key.data @ attn.wk.data).reshape(split).transpose(1, 2, 0)
+    v = (key.data @ attn.wv.data).reshape(split).transpose(1, 0, 2)
+    return attention_core(q, k, v, mask)[1]
 
 
 class TestLinear:
@@ -61,8 +103,8 @@ class TestMha:
         attn = identity_attention(3)
         q = Tensor(rng(4).standard_normal((5, 3)).astype(np.float32))
         kv = Tensor(rng(5).standard_normal((1, 3)).astype(np.float32))
-        out, weights = mha(q, kv, kv, attn, return_weights=True)
-        np.testing.assert_allclose(weights[0], np.ones((5, 1)))
+        out = mha(q, kv, kv, attn)
+        np.testing.assert_allclose(core_weights(q, kv, attn)[0], np.ones((5, 1)))
         np.testing.assert_allclose(out.data, np.tile(kv.data, (5, 1)), rtol=1e-6)
 
     def test_equal_keys_give_mean_of_values(self):
@@ -99,8 +141,7 @@ class TestMha:
         kv = Tensor(rng(15).standard_normal((5, 4)).astype(np.float32))
         mask = np.zeros((3, 5), dtype=bool)
         mask[0, 2] = mask[2, 0] = mask[2, 4] = True
-        _, weights = mha(q, kv, kv, attn, mask=mask, return_weights=True)
-        for w in weights:
+        for w in core_weights(q, kv, attn, mask):
             assert (w[mask] == 0.0).all()
 
     def test_fully_masked_row_errors(self):
@@ -141,9 +182,8 @@ class TestMha:
         key = rng(43).standard_normal((n_k, dim)).astype(np.float32)
         value = rng(44).standard_normal((n_k, dim)).astype(np.float32)
         mask = causal_mask(n_q) if causal else None
-        out, weights = mha(Tensor(query), Tensor(key), Tensor(value), attn, mask=mask,
-                           return_weights=True)
-        assert weights.shape == (n_heads, n_q, n_k)
+        out = mha(Tensor(query), Tensor(key), Tensor(value), attn, mask=mask)
+        assert core_weights(Tensor(query), Tensor(key), attn, mask).shape == (n_heads, n_q, n_k)
 
         wq, wk, wv, wo = (m.data.astype(np.float64) for m in (attn.wq, attn.wk, attn.wv, attn.wo))
         q, k, v = query @ wq, key @ wk, value @ wv
@@ -184,6 +224,46 @@ class TestMha:
         err = grad_check(lambda: sum_all(mha(x, x, x, attn, mask=causal_mask(4)) * w),
                          params, h=1e-3, max_coords=12)
         assert err < 1e-4
+
+
+class TestFusedAgainstComposed:
+    """``mha`` on the fused op against ``composed_mha``: the forward does the
+    same float32 arithmetic, so it is bit-equal; the backward sums in another
+    order, so gradients agree to float32 rounding."""
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    @pytest.mark.parametrize("n_heads", [1, 2, 8])
+    @pytest.mark.parametrize("mask_kind", ["none", "causal", "padded"])
+    @pytest.mark.parametrize("n_q,n_k", [(5, 5), (3, 7), (6, 4)])
+    def test_values_equal_and_gradients_agree(self, dim, n_heads, mask_kind, n_q, n_k):
+        attn = MultiHeadAttention.create(rng(60 + n_heads), dim, n_heads)
+        g = rng(61)
+        inputs = [Tensor(g.standard_normal((n, dim)).astype(np.float32), requires_grad=True)
+                  for n in (n_q, n_k, n_k)]
+        mask = key_masks(n_q, n_k)[mask_kind]
+        upstream = Tensor(g.standard_normal((n_q, dim)).astype(np.float32))
+        params = inputs + [attn.wq, attn.wk, attn.wv, attn.wo]
+        outs, grads = [], []
+        for f in (mha, composed_mha):
+            for p in params:
+                p.grad = None
+            out = f(*inputs, attn, mask=mask)
+            sum_all(out * upstream).backward()
+            outs.append(out.data)
+            grads.append([p.grad for p in params])
+        assert np.array_equal(outs[0], outs[1])
+        for fused, composed in zip(*grads):
+            assert fused.dtype == composed.dtype == np.float32
+            assert np.abs(fused - composed).max() <= 1e-5 * np.abs(composed).max()
+
+    def test_records_five_nodes(self):
+        attn = MultiHeadAttention.create(rng(62), 16, 4)
+        x = Tensor(rng(63).standard_normal((5, 16)).astype(np.float32), requires_grad=True)
+        y = Tensor(rng(64).standard_normal((3, 16)).astype(np.float32), requires_grad=True)
+        # x, y and the four weights are the leaves; the three input
+        # projections, the attention op and wo are the five op nodes.
+        assert len(ComputationTape.trace(mha(x, y, y, attn)).nodes) == 6 + 5
+        assert len(ComputationTape.trace(composed_mha(x, y, y, attn)).nodes) == 6 + 16
 
 
 class TestEncoder:

@@ -21,7 +21,7 @@ from quag.model import (
     encode_trunk,
     predict,
 )
-from quag.tensor import ShapeError, grad_check, log_softmax, no_grad, slice_rows
+from quag.tensor import ComputationTape, ShapeError, grad_check, log_softmax, no_grad, slice_rows
 from quag.trainer import batch_loss
 
 
@@ -333,6 +333,20 @@ class TestEndToEndGradients:
     def test_every_fusion_mode(self, fusion, task):
         """Every parameter, on a batch that mixes episode lengths."""
         assert self.run_check(task, fusion, every=1) < 1e-5
+
+
+class TestGraphSize:
+    """Graph nodes, leaves included, of one tiny-corpus batch per task: a
+    pure function of the code, unlike a count taken over the batches a timed
+    run happens to reach. With the 16-node composed attention the counts were
+    516, 505 and 751; the fused attention op (5 nodes per ``mha``) gives the
+    pinned ones."""
+
+    @pytest.mark.parametrize("task,pinned", [("ret", 340), ("seg", 329), ("cap", 465)])
+    def test_node_count_is_pinned(self, tiny_corpus, task, pinned):
+        params = QuagParams(corpus_config(tiny_corpus))
+        bundle = batch_loss(tiny_corpus.load_episodes(), params, task, params.config.lam)
+        assert len(ComputationTape.trace(bundle.total).nodes) <= pinned
 
 
 class TestPredict:

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import key_masks
 from quag import tensor as T
 from quag.tensor import (
     ComputationTape,
     ShapeError,
     Tensor,
+    attention,
     concat_last,
     embed_rows,
     gelu,
@@ -487,6 +489,50 @@ class TestFusedOps:
         row = Tensor(rand((1, 4), seed=38), requires_grad=True)
         err = grad_check(lambda: sum_all((col * row) * (col * row)), [col, row], h=1e-3)
         assert err < 1e-4
+
+
+class TestAttention:
+    @staticmethod
+    def qkv(n_q, n_k, dim, dtype=np.float64, seed=70):
+        g = np.random.default_rng(seed)
+        return [Tensor(g.standard_normal((n, dim)).astype(dtype), requires_grad=True)
+                for n in (n_q, n_k, n_k)]
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 8])
+    @pytest.mark.parametrize("mask_kind", ["none", "causal", "padded"])
+    def test_gradient(self, n_heads, mask_kind):
+        q, k, v = self.qkv(3, 5, 16)
+        mask = key_masks(3, 5)[mask_kind]
+        w = Tensor(rand((3, 16), seed=71).astype(np.float64))
+        err = grad_check(lambda: sum_all(attention(q, k, v, n_heads, mask) * w), [q, k, v],
+                         h=1e-3)
+        assert err < 1e-6
+
+    def test_fully_masked_padding_row_rejected(self):
+        q, k, v = self.qkv(3, 5, 8)
+        mask = key_masks(3, 5)["padded"]
+        mask[2] = True
+        with pytest.raises(ValueError, match="masked"):
+            attention(q, k, v, 2, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_input_dtype(self, dtype):
+        q, k, v = self.qkv(4, 6, 8, dtype)
+        out = attention(q, k, v, 2, key_masks(4, 6)["causal"])
+        assert out.data.dtype == dtype
+        sum_all(out).backward()
+        assert {t.grad.dtype for t in (q, k, v)} == {np.dtype(dtype)}
+
+    def test_shape_errors(self):
+        q, k, v = self.qkv(3, 5, 8)
+        with pytest.raises(ShapeError):
+            attention(q, k, Tensor(rand((4, 8))), 2)
+        with pytest.raises(ShapeError):
+            attention(q, Tensor(rand((5, 6))), Tensor(rand((5, 6))), 2)
+        with pytest.raises(ShapeError):
+            attention(q, k, v, 3)
+        with pytest.raises(ShapeError):
+            attention(q, k, v, 2, np.zeros((5, 3), dtype=bool))
 
 
 def test_forward_values_stay_finite_on_finite_inputs():
