@@ -228,8 +228,8 @@ class TestMha:
 
 class TestFusedAgainstComposed:
     """``mha`` on the fused op against ``composed_mha``: the forward does the
-    same float32 arithmetic, so it is bit-equal; the backward sums in another
-    order, so gradients agree to float32 rounding."""
+    same float32 arithmetic, so it is bit-equal; the hand-written backward is
+    free to sum in another order, so gradients are held to float32 rounding."""
 
     @pytest.mark.parametrize("dim", [16, 64])
     @pytest.mark.parametrize("n_heads", [1, 2, 8])
