@@ -15,7 +15,8 @@ the memories are padded to the longest and a key mask hides the padding.
 Each decoder-form ``layers.TransformerBlock`` projects its cross-attention
 keys and values once per decode (``start_cache``), its self-attention keys and
 values grow by one position per token, and each ``step`` feeds only the
-newest token of every row. Greedy decoding drops a row at EOS; beam search
+newest token of every row, in plain numpy on the forward cores of the graph
+ops: no ``Tensor``, no graph. Greedy decoding drops a row at EOS; beam search
 steps captions x live beams as rows. Training keeps the full-prefix
 ``teacher_forced_logits``; every row is held to the same ids as recomputing
 that whole prefix on its own memory.
@@ -34,9 +35,8 @@ from quag.tensor import (
     ShapeError,
     Tensor,
     embed_rows,
-    log_softmax,
+    log_softmax_core,
     masked_softmax,
-    no_grad,
     reshape,
     slice_rows,
 )
@@ -240,7 +240,7 @@ class CaptionDecoder:
         live = list(range(len(memories)))  # the caption of each row
         tokens = [BOS] * len(memories)
         for _ in range(min(max_len, self.max_positions - 1)):
-            picked = np.argmax(state.step(tokens).data, axis=-1)
+            picked = np.argmax(state.step(tokens), axis=-1)
             rows = [r for r, tok in enumerate(picked) if tok != EOS]
             if not rows:
                 break
@@ -272,7 +272,7 @@ class CaptionDecoder:
             tokens = [ids[-1] for beams in searches for _, ids, done in beams if not done]
             if not tokens:
                 break
-            logp = log_softmax(state.step(tokens)).data
+            logp = log_softmax_core(state.step(tokens))
             row = 0
             kept: list[int] = []
             for c, beams in enumerate(searches):
@@ -298,22 +298,22 @@ class CaptionDecoder:
 
 
 class DecodeState:
-    """Incremental decoding of R rows, each against its own memory.
+    """Incremental decoding of R rows, each against its own memory, on the
+    arrays of the memories and parameters: numpy caches and logits, no graph.
 
     The memories, one per caption, are padded once to the longest (M
     positions); per decoder block their cross-attention keys and values are
-    projected once for all rows, and the self-attention keys and values of
-    the positions decoded so far grow by one per ``step``. A boolean key mask
-    [R, 1, 1, M] marks padded positions; memories of one length get none.
-    Every memory must have a position, so no row is fully masked: that is
-    checked once here, and ``step`` hands the mask to the attention core
-    unchecked.
-    ``select`` reorders, repeats or drops rows, indexing caches and mask
-    alike, so each row keeps its memory as greedy drops finished captions and
-    beam search follows the surviving beams. Invariant: row r's ``step``
-    logits equal the last row of ``teacher_forced_logits`` over row r's
-    memory and tokens up to float rounding, so decoding picks the same ids as
-    recomputing the whole prefix for every token.
+    projected once for all rows, and the self-attention keys and values of the
+    positions decoded so far grow by one per ``step``. A boolean key mask
+    [R, 1, 1, M] marks padded positions; memories of one length get none. Every
+    memory must have a position, so no row is fully masked: that is checked
+    once here, and ``step`` hands the mask to the attention core unchecked.
+    ``select`` reorders, repeats or drops rows, indexing caches and mask alike,
+    so each row keeps its memory as greedy drops finished captions and beam
+    search follows the surviving beams. Invariant: row r's ``step`` logits
+    equal the last row of ``teacher_forced_logits`` over row r's memory and
+    tokens up to float rounding, so decoding picks the same ids as recomputing
+    the whole prefix for every token.
     """
 
     def __init__(self, decoder: CaptionDecoder, memories: Sequence[Tensor]):
@@ -329,26 +329,23 @@ class DecodeState:
         self.mask: Optional[np.ndarray] = None
         if (lengths < width).any():
             self.mask = (np.arange(width) >= lengths[:, None])[:, None, None, :]
-        memory = memories[0] if self.rows == 1 else Tensor(np.concatenate(
-            [np.pad(m.data, ((0, width - m.shape[0]), (0, 0))) for m in memories]))
-        with no_grad():
-            self.caches = [block.start_cache(memory, self.rows) for block in decoder.blocks]
+        memory = memories[0].data if self.rows == 1 else np.concatenate(
+            [np.pad(m.data, ((0, width - m.shape[0]), (0, 0))) for m in memories])
+        self.caches = [block.start_cache(memory, self.rows) for block in decoder.blocks]
 
-    def step(self, tokens: Sequence[int]) -> Tensor:
-        """Feed one token per row at the next position; returns [R x V] logits
-        for the token after it."""
+    def step(self, tokens: Sequence[int]) -> np.ndarray:
+        """Feed one token per row at the next position; returns the [R x V]
+        logits array for the token after it."""
         dec = self.decoder
         if len(tokens) != self.rows:
             raise ShapeError(f"step got {len(tokens)} tokens for {self.rows} rows")
         if self.length >= dec.max_positions:
             raise ShapeError(f"decoding past {dec.max_positions} positions")
-        with no_grad():
-            x = embed_rows(dec.embed, tokens) + slice_rows(dec.pos, self.length,
-                                                           self.length + 1)
-            for i, block in enumerate(dec.blocks):
-                x, self.caches[i] = block.step(x, self.caches[i], self.mask)
-            self.length += 1
-            return linear(x, dec.out)
+        x = dec.embed.data[np.asarray(tokens, np.intp)] + dec.pos.data[self.length:self.length + 1]
+        for i, block in enumerate(dec.blocks):
+            x, self.caches[i] = block.step(x, self.caches[i], self.mask)
+        self.length += 1
+        return x @ dec.out.weight.data + dec.out.bias.data
 
     def select(self, rows: Sequence[int]) -> None:
         """Keep the given rows, in the given order; a row may repeat."""

@@ -5,8 +5,8 @@ masking and cross-attention to the encoder form.
 Multi-head attention is the three input projections, one fused
 ``tensor.attention`` graph node for the whole core (head split, scaled
 scores, mask, softmax, weighted sum and head merge) and the output
-projection. The cached decoder ``step`` runs the same numpy core,
-``tensor.attention_core``, without recording a graph.
+projection. The cached decoder ``step`` is plain numpy on the same ops'
+forward cores: ``tensor.attention_core``, ``layer_norm_core``, ``gelu_core``.
 
 All parameters are created from a caller-supplied numpy Generator with
 Xavier-uniform weights and zero biases, in a fixed draw order, so a fixed seed
@@ -26,7 +26,9 @@ from quag.tensor import (
     attention,
     attention_core,
     gelu,
+    gelu_core,
     layer_norm,
+    layer_norm_core,
     matmul,
     mul,
     reshape,
@@ -206,9 +208,9 @@ class TransformerBlock:
             h = self._sublayer(1, h, self.cross_attn(h, memory, memory), drop_rate, rng)
         return self._sublayer(-1, h, self.ffn_out(gelu(self.ffn_in(h))), drop_rate, rng)
 
-    def start_cache(self, memory: Tensor, rows: int) -> tuple[np.ndarray, ...]:
+    def start_cache(self, memory: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
         """The ``step`` cache of a decoder block for R = ``rows`` rows, row r
-        decoding against rows [r*M, (r+1)*M) of ``memory`` [R*M x D].
+        decoding against rows [r*M, (r+1)*M) of the array ``memory`` [R*M x D].
 
         It holds the self-attention keys [R, h, D/h, t] and values
         [R, h, t, D/h] of the t positions decoded so far (none yet), then the
@@ -220,16 +222,16 @@ class TransformerBlock:
         heads = attn.n_heads
         head_dim = attn.dim // heads
         split = (rows, -1, heads, head_dim)
-        mem_k = (memory.data @ attn.wk.data).reshape(split).transpose(0, 2, 3, 1)
-        mem_v = (memory.data @ attn.wv.data).reshape(split).transpose(0, 2, 1, 3)
+        mem_k = (memory @ attn.wk.data).reshape(split).transpose(0, 2, 3, 1)
+        mem_v = (memory @ attn.wv.data).reshape(split).transpose(0, 2, 1, 3)
         mem_k, mem_v = np.ascontiguousarray(mem_k), np.ascontiguousarray(mem_v)
         return (np.zeros((rows, heads, head_dim, 0), mem_k.dtype),
                 np.zeros((rows, heads, 0, head_dim), mem_v.dtype), mem_k, mem_v)
 
-    def step(self, x: Tensor, cache: tuple[np.ndarray, ...], memory_mask: Optional[np.ndarray]
-             ) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+    def step(self, x: np.ndarray, cache: tuple[np.ndarray, ...],
+             memory_mask: Optional[np.ndarray]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Run one new position of R rows through a decoder block against a
-        ``start_cache`` cache, in numpy: no graph is recorded.
+        ``start_cache`` cache, in plain numpy: arrays in and out, no graph.
 
         ``x`` is [R x D], each row the newest position of its own sequence.
         ``memory_mask``, boolean [R, 1, 1, M] or None, marks the padded
@@ -237,23 +239,26 @@ class TransformerBlock:
         every row must keep a memory position. Both attentions run on
         ``tensor.attention_core``, the core of the training-path
         ``tensor.attention``, with [R, h, 1, D/h] queries; one query position
-        merges its heads by a reshape alone. Returns the block output for
+        merges its heads by a reshape alone; layer norm and GELU run
+        ``layer_norm_core`` and ``gelu_core``. Returns the block output for
         those positions, equal to the last row of ``__call__`` over each
         whole sequence and its own memory without dropout, and the cache with
         their self-attention keys and values appended.
         """
         past_k, past_v, mem_k, mem_v = cache
-        rows = x.shape[0]
         attn = self.self_attn
-        heads = attn.n_heads
-        keys = np.concatenate(
-            [past_k, (x.data @ attn.wk.data).reshape(rows, heads, -1, 1)], axis=-1)
-        values = np.concatenate(
-            [past_v, (x.data @ attn.wv.data).reshape(rows, heads, 1, -1)], axis=-2)
-        h = self._sublayer(0, x, _cached_attention(attn, x, keys, values, None))
-        h = self._sublayer(1, h, _cached_attention(self.cross_attn, h, mem_k, mem_v, memory_mask))
-        h = self._sublayer(2, h, self.ffn_out(gelu(self.ffn_in(h))))
+        split = (x.shape[0], attn.n_heads)
+        keys = np.concatenate([past_k, (x @ attn.wk.data).reshape(*split, -1, 1)], axis=-1)
+        values = np.concatenate([past_v, (x @ attn.wv.data).reshape(*split, 1, -1)], axis=-2)
+        h = self._step_norm(0, x, _cached_attention(attn, x, keys, values, None))
+        h = self._step_norm(1, h, _cached_attention(self.cross_attn, h, mem_k, mem_v, memory_mask))
+        ffn = gelu_core(h @ self.ffn_in.weight.data + self.ffn_in.bias.data)[0]
+        h = self._step_norm(2, h, ffn @ self.ffn_out.weight.data + self.ffn_out.bias.data)
         return h, (keys, values, mem_k, mem_v)
+
+    def _step_norm(self, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``_sublayer`` without dropout, on arrays."""
+        return layer_norm_core(x + y, self.ln_gains[i].data, self.ln_biases[i].data)[0]
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         # An encoder block's self-attention keeps its registry name "attn".
@@ -268,14 +273,14 @@ class TransformerBlock:
             yield f"{prefix}.ln{i}.bias", b
 
 
-def _cached_attention(attn: MultiHeadAttention, x: Tensor, keys: np.ndarray,
-                      values: np.ndarray, mask: Optional[np.ndarray]) -> Tensor:
+def _cached_attention(attn: MultiHeadAttention, x: np.ndarray, keys: np.ndarray,
+                      values: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     """``attn`` for R rows ``x`` [R x D] of one query position each, over
-    cached keys [R, h, D/h, t] and values [R, h, t, D/h], without a graph."""
+    cached keys [R, h, D/h, t] and values [R, h, t, D/h]: arrays, no graph."""
     rows = x.shape[0]
-    q = (x.data @ attn.wq.data).reshape(rows, attn.n_heads, 1, -1)
+    q = (x @ attn.wq.data).reshape(rows, attn.n_heads, 1, -1)
     ctx = attention_core(q, keys, values, mask)[0]
-    return Tensor(ctx.reshape(rows, -1) @ attn.wo.data)
+    return ctx.reshape(rows, -1) @ attn.wo.data
 
 
 def encoder_forward(x: Tensor, blocks: Sequence[TransformerBlock], drop_rate: float = 0.0,

@@ -37,11 +37,14 @@ __all__ = [
     "masked_softmax",
     "attention_core",
     "attention",
+    "log_softmax_core",
     "log_softmax",
     "log_clamped",
     "sigmoid",
     "sqrt",
+    "gelu_core",
     "gelu",
+    "layer_norm_core",
     "layer_norm",
     "embed_rows",
     "pick",
@@ -466,7 +469,7 @@ def masked_softmax(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         if m.all(axis=-1).any():
             raise ValueError("masked_softmax: a slice has every position masked")
         v = np.where(m, -np.inf, v)
-    z = v - v.max(axis=-1, keepdims=True)
+    z = v - np.fmax.reduce(v, axis=-1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-1, keepdims=True)
 
@@ -488,7 +491,7 @@ def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     s *= s.dtype.type(1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
         np.copyto(s, -np.inf, where=mask)
-    s -= s.max(axis=-1, keepdims=True)
+    s -= np.fmax.reduce(s, axis=-1, keepdims=True)
     w = np.exp(s, out=s)
     w /= w.sum(axis=-1, keepdims=True)
     return w @ v, w
@@ -546,14 +549,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return _node(merge(ctx), (q, k, v), backward)
 
 
+def log_softmax_core(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of an array, shifted by the row max."""
+    z = x - np.fmax.reduce(x, axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
-    s = np.exp(out)
+    out = log_softmax_core(x.data)
 
     def backward(g):
-        _accumulate(x, g - s * g.sum(axis=-1, keepdims=True))
+        _accumulate(x, g - np.exp(out) * g.sum(axis=-1, keepdims=True))
 
     return _node(out, (x,), backward)
 
@@ -603,12 +609,16 @@ def sigmoid(x: Tensor) -> Tensor:
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
+def gelu_core(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximate GELU of an array; returns it and the tanh term."""
+    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    return 0.5 * v * (1.0 + t), t
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximate gaussian error linear unit."""
     v = x.data
-    inner = _GELU_C * (v + 0.044715 * (v * v * v))
-    t = np.tanh(inner)
-    out = 0.5 * v * (1.0 + t)
+    out, t = gelu_core(v)
 
     def backward(g):
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
@@ -618,24 +628,27 @@ def gelu(x: Tensor) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
-    v = x.data
+def layer_norm_core(v: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                    eps: float = 1e-5) -> tuple[np.ndarray, ...]:
+    """Layer norm of an array's last axis: the output, rows y and 1/std."""
     n = v.shape[-1]  # means as sums / n: ndarray.mean's float math, without its Python wrapper
     centred = v - np.add.reduce(v, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / n + eps)
     y = centred * inv
-    out = y * gain.data + bias.data
+    return y * gain + bias, y, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    out, y, inv = layer_norm_core(x.data, gain.data, bias.data, eps)
+    n = y.shape[-1]
 
     def backward(g):
         _accumulate(gain, _unbroadcast(g * y, gain.shape))
         _accumulate(bias, _unbroadcast(g, bias.shape))
         gy = g * gain.data
-        dx = inv * (
-            gy
-            - np.add.reduce(gy, axis=-1, keepdims=True) / n
-            - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / n)
-        )
+        dx = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / n
+                    - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / n))
         _accumulate(x, dx)
 
     return _node(out, (x, gain, bias), backward)

@@ -14,8 +14,9 @@ from quag.heads import (
     predict_step_boundaries,
     step_distribution,
 )
-from quag.layers import LinearLayer
-from quag.tensor import ShapeError, Tensor, no_grad, slice_rows
+from quag import tensor
+from quag.layers import LinearLayer, linear
+from quag.tensor import ShapeError, Tensor, attention_core, embed_rows, gelu, no_grad, slice_rows
 
 
 def rng(seed=0):
@@ -311,7 +312,7 @@ class TestDecodeState:
         state = DecodeState(decoder, [memory])
         prefixes = [[BOS]]
         for _ in range(decoder.max_positions):
-            logits = state.step([p[-1] for p in prefixes]).data
+            logits = state.step([p[-1] for p in prefixes])
             assert logits.shape == (len(prefixes), decoder.vocab_size)
             for row, prefix in zip(logits, prefixes):
                 expected = decoder.teacher_forced_logits(memory, prefix).data[-1]
@@ -401,7 +402,7 @@ class TestRowsOfSeveralMemories:
         assert state.mask.shape == (3, 1, 1, 7)
         rows = [(m, [BOS]) for m in memories]
         for _ in range(decoder.max_positions):
-            logits = state.step([prefix[-1] for _, prefix in rows]).data
+            logits = state.step([prefix[-1] for _, prefix in rows])
             for row, (memory, prefix) in zip(logits, rows):
                 expected = decoder.teacher_forced_logits(memory, prefix).data[-1]
                 np.testing.assert_allclose(row, expected, atol=1e-5)
@@ -435,3 +436,98 @@ class TestRowsOfSeveralMemories:
         assert decoder.beam_decode(memories, 12, 3) == \
             [recompute_beam(decoder, m, 12, 3) for m in memories]
         assert steps[-1] < steps[1]  # finished beams gave up their rows
+
+
+def graph_attention(attn, x, keys, values, mask):
+    """Cached attention for the graph step: the numpy core on ``x.data``,
+    its result wrapped as a Tensor."""
+    rows = x.shape[0]
+    q = (x.data @ attn.wq.data).reshape(rows, attn.n_heads, 1, -1)
+    ctx = attention_core(q, keys, values, mask)[0]
+    return Tensor(ctx.reshape(rows, -1) @ attn.wo.data)
+
+
+def graph_step(state, tokens):
+    """The decoder step as Tensor ops under ``no_grad``, which the numpy
+    ``DecodeState.step`` replaced, kept as its reference: token embedding,
+    position add, residuals, layer norms, GELU and linears each build a
+    Tensor. Returns the logits Tensor and the caches with this position's
+    keys and values appended; ``state`` is left as it was."""
+    dec = state.decoder
+    caches = []
+    with no_grad():
+        x = embed_rows(dec.embed, tokens) + slice_rows(dec.pos, state.length, state.length + 1)
+        for block, (past_k, past_v, mem_k, mem_v) in zip(dec.blocks, state.caches):
+            attn = block.self_attn
+            rows, heads = x.shape[0], attn.n_heads
+            keys = np.concatenate(
+                [past_k, (x.data @ attn.wk.data).reshape(rows, heads, -1, 1)], axis=-1)
+            values = np.concatenate(
+                [past_v, (x.data @ attn.wv.data).reshape(rows, heads, 1, -1)], axis=-2)
+            h = block._sublayer(0, x, graph_attention(attn, x, keys, values, None))
+            h = block._sublayer(1, h, graph_attention(block.cross_attn, h, mem_k, mem_v,
+                                                      state.mask))
+            x = block._sublayer(2, h, block.ffn_out(gelu(block.ffn_in(h))))
+            caches.append((keys, values, mem_k, mem_v))
+        return linear(x, dec.out), caches
+
+
+def random_vectors(decoder, seed):
+    """Give the decoder's biases and layer-norm gains random values, so no
+    gain of 1 or bias of 0 hides a difference."""
+    g = rng(seed)
+    for _, p in decoder.named_params("dec"):
+        if p.ndim == 1:
+            p.data = g.standard_normal(p.shape).astype(np.float32)
+    return decoder
+
+
+class TestStepAgainstGraphStep:
+    """The numpy step does the graph step's float32 operations in the same
+    order, so logits and caches are equal bit for bit."""
+
+    @pytest.mark.parametrize("lengths", [(7, 1, 3), (5, 5)])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_bit_identical_through_select(self, heads, layers, lengths):
+        decoder = random_vectors(make_decoder(dim=16, heads=heads, layers=layers,
+                                              seed=60 + heads), seed=61)
+        memories = [frames_tensor(n, 16, seed=62 + n) for n in lengths]
+        pick = rng(63)
+        state = DecodeState(decoder, memories)
+        assert (state.mask is None) == (len(set(lengths)) == 1)
+        tokens = [BOS] * len(memories)
+        for _ in range(decoder.max_positions):
+            expected, caches = graph_step(state, tokens)
+            logits = state.step(tokens)
+            assert type(logits) is np.ndarray and logits.dtype == np.float32
+            assert np.array_equal(logits, expected.data)
+            for got, want in zip(state.caches, caches):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            kept = pick.integers(0, state.rows, size=pick.integers(1, 6))
+            state.select(kept)
+            tokens = [int(t) for t in pick.integers(0, decoder.vocab_size, size=len(kept))]
+
+
+def test_decoding_builds_no_tensor(monkeypatch):
+    decoder = make_decoder(heads=2, layers=2, seed=64)
+    memories = mixed_memories(65)
+    expected = (decoder.greedy_decode(memories, 10), decoder.beam_decode(memories, 10, 3))
+    made = []
+    init, node = Tensor.__init__, tensor._node
+
+    def counted_init(self, *args, **kwargs):
+        made.append("Tensor")
+        init(self, *args, **kwargs)
+
+    def counted_node(*args):
+        made.append("_node")
+        return node(*args)
+
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
+    monkeypatch.setattr(tensor, "_node", counted_node)
+    assert (decoder.greedy_decode(memories, 10), decoder.beam_decode(memories, 10, 3)) == expected
+    assert made == []
+    with no_grad():
+        linear(memories[0], decoder.out)  # the counters do see graph ops
+    assert made.count("Tensor") == made.count("_node") == 2

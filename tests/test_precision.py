@@ -8,6 +8,7 @@ import pytest
 
 from conftest import tiny_config
 from quag import tensor
+from quag.heads import DecodeState
 from quag.losses import TASKS
 from quag.model import FUSION_MODES, QuagParams, predict
 from quag.tensor import ComputationTape
@@ -36,18 +37,28 @@ def test_training_graph_is_float32(tiny_corpus, fusion, task):
 
 
 def test_predict_computes_in_float32(tiny_corpus, monkeypatch):
-    seen = set()
-    node = tensor._node
+    # Caption decoding builds no graph nodes, so its step logits and caches
+    # are recorded separately.
+    seen, decoded = set(), set()
+    node, step = tensor._node, DecodeState.step
 
     def recording_node(data, parents, backward):
         seen.add(data.dtype)
         return node(data, parents, backward)
 
+    def recording_step(self, tokens):
+        logits = step(self, tokens)
+        decoded.add(logits.dtype)
+        decoded.update(a.dtype for cache in self.caches for a in cache)
+        return logits
+
     monkeypatch.setattr(tensor, "_node", recording_node)
+    monkeypatch.setattr(DecodeState, "step", recording_step)
     model = _model(tiny_corpus, "quag")
     for episode in tiny_corpus.load_episodes():
         predict(episode, model)
     assert seen == {np.dtype(np.float32)}
+    assert decoded == {np.dtype(np.float32)}
 
 
 @pytest.mark.parametrize("fusion", FUSION_MODES)

@@ -12,6 +12,7 @@ from quag.tensor import (
     ShapeError,
     Tensor,
     attention,
+    attention_core,
     concat_last,
     embed_rows,
     gelu,
@@ -19,6 +20,7 @@ from quag.tensor import (
     layer_norm,
     log_clamped,
     log_softmax,
+    log_softmax_core,
     masked_softmax,
     matmul,
     mean_axis,
@@ -533,6 +535,94 @@ class TestAttention:
             attention(q, k, v, 3)
         with pytest.raises(ShapeError):
             attention(q, k, v, 2, np.zeros((5, 3), dtype=bool))
+
+
+def special_rows(seed=91):
+    """[14 x 6] float32 score rows: random, partly and fully -inf, holding a
+    NaN (first, inside, everywhere, beside -inf), and of signed zeros."""
+    g = np.random.default_rng(seed)
+    rows = (g.standard_normal((14, 6)) * 10).astype(np.float32)
+    rows[2, [0, 3]] = -np.inf
+    rows[3, 1:] = -np.inf
+    rows[4] = -np.inf
+    rows[5, 0] = np.nan
+    rows[6, 4] = np.nan
+    rows[7] = np.nan
+    rows[8, [1, 2]] = [np.nan, -np.inf]
+    rows[9] = [0.0, -0.0, -1.0, -0.0, -2.0, 0.0]
+    rows[10] = -0.0
+    rows[11] = [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]
+    rows[12] = [-0.0, -3.0, -1.0, -4.0, -5.0, -9.0]
+    rows[13] = 0.0
+    return rows
+
+
+class TestRowMaxAgainstMax:
+    """The softmax-like ops shift each row by ``np.fmax.reduce``, which
+    skips NaNs where ``.max`` returns them; a row holding a NaN still comes
+    out all NaN, through its sum, so every output equals the ``.max``
+    formula's."""
+
+    @staticmethod
+    def softmax_ref(v):
+        z = v - v.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def log_softmax_ref(v):
+        z = v - v.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+    @staticmethod
+    def attention_core_ref(q, k, v, mask):
+        s = q @ k
+        s *= s.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+        if mask is not None:
+            np.copyto(s, -np.inf, where=mask)
+        s -= s.max(axis=-1, keepdims=True)
+        w = np.exp(s, out=s)
+        w /= w.sum(axis=-1, keepdims=True)
+        return w @ v, w
+
+    @staticmethod
+    def same(a, b):
+        return np.array_equal(a, b, equal_nan=True)
+
+    def test_softmax_and_log_softmax(self):
+        rows = special_rows()
+        mask = np.random.default_rng(92).random(rows.shape) < 0.3
+        mask[:, 0] = False
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert self.same(masked_softmax(Tensor(rows)).data, self.softmax_ref(rows))
+            assert self.same(masked_softmax(Tensor(rows), mask).data,
+                             self.softmax_ref(np.where(mask, -np.inf, rows)))
+            assert self.same(log_softmax(Tensor(rows)).data, self.log_softmax_ref(rows))
+            assert self.same(log_softmax_core(rows), self.log_softmax_ref(rows))
+        assert np.isnan(masked_softmax(Tensor(rows[5:9])).data).all()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_core(self, masked):
+        # One-channel queries of 1 make the scores the rows themselves.
+        rows = special_rows()[:, None, :]
+        q = np.ones((len(rows), 1, 1), dtype=np.float32)
+        v = rand((len(rows), rows.shape[-1], 3), seed=93)
+        mask = np.random.default_rng(94).random(rows.shape) < 0.3 if masked else None
+        if masked:
+            mask[..., 0] = False
+        with np.errstate(invalid="ignore"):
+            got, want = attention_core(q, rows, v, mask), self.attention_core_ref(q, rows, v, mask)
+        assert all(self.same(a, b) for a, b in zip(got, want))
+        assert np.isfinite(got[1][[0, 1, 2, 3, 9, 10, 11, 12, 13]]).all()
+
+    def test_random_score_blocks(self):
+        g = np.random.default_rng(95)
+        for shape in [(8, 32, 32), (2, 8, 1, 12)]:
+            q = g.standard_normal(shape[:-1] + (16,)).astype(np.float32)
+            k = g.standard_normal(shape[:-2] + (16, shape[-1])).astype(np.float32)
+            v = g.standard_normal(shape[:-2] + (shape[-1], 16)).astype(np.float32)
+            got, want = attention_core(q, k, v), self.attention_core_ref(q, k, v, None)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_forward_values_stay_finite_on_finite_inputs():
