@@ -75,7 +75,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: Path) -> "Vocabulary":
-        return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        try:
+            return cls(Path(path).read_text(encoding="utf-8").splitlines())
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+            raise EpisodeIOError(f"{path}: {exc}") from exc
 
 
 def step_frame_spans(moment_start: int, boundaries: Sequence[int]) -> list[tuple[int, int]]:

@@ -273,6 +273,8 @@ class CaptionDecoder:
             if not tokens:
                 break
             logp = log_softmax_core(state.step(tokens))
+            top = np.argsort(logp, axis=-1)[:, :-beam_width - 1:-1]
+            top, top_logp = top.tolist(), logp[np.arange(len(top))[:, None], top].tolist()
             row = 0
             kept: list[int] = []
             for c, beams in enumerate(searches):
@@ -281,10 +283,8 @@ class CaptionDecoder:
                     if done:
                         grown.append((score, ids, done, -1))
                         continue
-                    for tok in np.argsort(logp[row])[::-1][:beam_width]:
-                        tok = int(tok)
-                        grown.append((score + float(logp[row, tok]), ids + [tok],
-                                      tok == EOS, row))
+                    for tok, lp in zip(top[row], top_logp[row]):
+                        grown.append((score + lp, ids + [tok], tok == EOS, row))
                     row += 1
                 grown.sort(key=lambda b: b[0], reverse=True)
                 searches[c] = [b[:3] for b in grown[:beam_width]]

@@ -1,9 +1,9 @@
 """Query-centric cognition.
 
-Fuses the query vector into the audio-visual stream, derives temporal and
-channel relevance gates from the fused context, filters the audio-visual
-representation by their outer product, and injects the self-attended query
-context back in through a residual sum.
+Fuses the query vector into every frame of the audio-visual stream, derives
+temporal and channel relevance gates from the fused context, filters the
+audio-visual representation by their outer product, and injects the
+self-attended query context back in through a residual sum.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from quag.tensor import (
     Tensor,
     concat_last,
     mean_axis,
-    ones,
     reshape,
     sigmoid,
 )
@@ -70,14 +69,13 @@ class GatePair:
 
 
 def fuse_query_context(fused_av: Tensor, query: Tensor, params: Qc2Params) -> Tensor:
-    """Broadcast the query over frames, concatenate channel-wise, project 2D -> D."""
-    n_frames, dim = fused_av.shape
+    """Join the [D] query to every frame (``concat_last`` broadcasts it), project 2D -> D."""
+    dim = fused_av.shape[1]
     if query.ndim != 1 or query.shape[0] != dim:
         raise ShapeError(
             f"query shape {query.shape} does not match stream channel dim {dim}"
         )
-    tiled = reshape(query, (1, dim)) * ones((n_frames, 1))
-    return params.fuse(concat_last(fused_av, tiled))
+    return params.fuse(concat_last(fused_av, query))
 
 
 def compute_gates(query_context: Tensor, params: Qc2Params) -> GatePair:

@@ -4,7 +4,10 @@ Values are stored as row-major numpy arrays (float32 by default; float64 is
 preserved when supplied, which the gradient checker uses internally). Every
 differentiable operation records its inputs and a backward rule on the output
 tensor; ``Tensor.backward`` replays them once in reverse topological order,
-summing gradients into shared inputs.
+summing gradients into shared inputs. The elementwise ops and ``concat_last``
+broadcast as numpy does; backward sums each gradient back to its operand's
+shape. Graph-free decoding runs the ops' numpy forward cores (``softmax_core``,
+``attention_core``, ...), so no formula is written twice.
 
 Dtype rule: an op's result has the dtype numpy gives its operands' arrays, and
 a Python scalar or array met by an operator takes the dtype of the tensor it
@@ -25,7 +28,6 @@ __all__ = [
     "ComputationTape",
     "ShapeError",
     "no_grad",
-    "ones",
     "matmul",
     "transpose",
     "reshape",
@@ -34,6 +36,7 @@ __all__ = [
     "slice_rows",
     "mean_axis",
     "sum_all",
+    "softmax_core",
     "masked_softmax",
     "attention_core",
     "attention",
@@ -224,52 +227,34 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (numpy broadcasting, gradients summed back)
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-
+def _elementwise(data: np.ndarray, a: Tensor, b: Tensor,
+                 grad_a: Callable, grad_b: Callable) -> Tensor:
+    """The node of a broadcasting binary op: ``grad_a(g)`` and ``grad_b(g)``
+    give each operand's gradient at the broadcast shape, summed back here."""
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
+            _accumulate(a, _unbroadcast(grad_a(g), a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+            _accumulate(b, _unbroadcast(grad_b(g), b.shape))
 
     return _node(data, (a, b), backward)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _elementwise(a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _node(data, (a, b), backward)
+    return _elementwise(a.data - b.data, a, b, lambda g: g, np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _node(data, (a, b), backward)
+    return _elementwise(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(data, (a, b), backward)
+    return _elementwise(a.data / b.data, a, b, lambda g: g / b.data,
+                        lambda g: -g * a.data / (b.data * b.data))
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +308,25 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def concat_last(*tensors: Tensor) -> Tensor:
-    """Concatenate along the last axis; leading extents must match."""
+    """Concatenate along the last axis. The leading axes broadcast as in the
+    elementwise ops, so a [D] row joins every row of an [N x D'] block; each
+    input's slice of the gradient is summed back to its shape."""
     if len(tensors) < 2:
         raise ValueError("concat_last needs at least two tensors")
-    lead = tensors[0].shape[:-1]
-    for t in tensors[1:]:
-        if t.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_last leading-shape mismatch: {tensors[0].shape} vs {t.shape}"
-            )
-    data = np.concatenate([t.data for t in tensors], axis=-1)
+    try:
+        lead = np.broadcast_shapes(*(t.shape[:-1] for t in tensors))
+    except ValueError:
+        raise ShapeError("concat_last leading shapes do not broadcast: "
+                         + " vs ".join(str(t.shape) for t in tensors)) from None
+    data = np.concatenate([t.data if t.shape[:-1] == lead else
+                           np.broadcast_to(t.data, lead + t.shape[-1:]) for t in tensors], -1)
     widths = [t.shape[-1] for t in tensors]
 
     def backward(g):
         offset = 0
         for t, w in zip(tensors, widths):
-            _accumulate(t, g[..., offset:offset + w])
+            if t.requires_grad:
+                _accumulate(t, _unbroadcast(g[..., offset:offset + w], t.shape))
             offset += w
 
     return _node(data, tensors, backward)
@@ -459,19 +447,28 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
+def softmax_core(s: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax over the last axis of an array, in place, shifted by the row
+    max; returns ``s``. Where ``mask``, boolean and broadcastable to ``s``, is
+    True the entry is set to -inf first and gets exactly zero weight. The mask
+    is not checked here, so every row must keep an entry."""
+    if mask is not None:
+        np.copyto(s, -np.inf, where=mask)
+    s -= np.fmax.reduce(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
 def masked_softmax(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction. Entries
     where ``mask`` is True are excluded and get exactly zero probability;
     every slice must keep at least one entry."""
-    v = x.data
     if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if m.all(axis=-1).any():
+        mask = np.asarray(mask, dtype=bool)
+        if np.broadcast_to(mask, x.shape).all(axis=-1).any():
             raise ValueError("masked_softmax: a slice has every position masked")
-        v = np.where(m, -np.inf, v)
-    z = v - np.fmax.reduce(v, axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = softmax_core(x.data.copy(), mask)
 
     def backward(g):
         _accumulate(x, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
@@ -489,11 +486,7 @@ def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     weights [..., Lq, Lk]."""
     s = q @ k
     s *= s.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    if mask is not None:
-        np.copyto(s, -np.inf, where=mask)
-    s -= np.fmax.reduce(s, axis=-1, keepdims=True)
-    w = np.exp(s, out=s)
-    w /= w.sum(axis=-1, keepdims=True)
+    w = softmax_core(s, mask)
     return w @ v, w
 
 
@@ -652,13 +645,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accumulate(x, dx)
 
     return _node(out, (x, gain, bias), backward)
-
-
-# ---------------------------------------------------------------------------
-# creation helpers
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,20 @@ class TestSyntheticGenerator:
         with pytest.raises(InvariantViolationError, match="vocabulary of size 10"):
             load_manifest(tmp_path / "manifest.json").load_episodes()
 
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda text: b"\xff\xfe" + text, "utf-8"),
+        (lambda text: text.split(b"\n", 1)[1], "special tokens"),
+        (lambda text: text + text.splitlines(keepends=True)[-1], "duplicate"),
+    ], ids=["not-utf8", "no-specials", "repeated-token"])
+    def test_corrupt_vocabulary_raises_episode_io_error(self, tmp_path, corrupt, match):
+        generate_synthetic_dataset(tmp_path, SyntheticSpec(seed=5, n_episodes=2))
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(corrupt(vocab.read_bytes()))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        with pytest.raises(EpisodeIOError, match=match) as info:
+            manifest.load_episodes()
+        assert str(vocab) in str(info.value)
+
     def test_manifest_missing_file_detected(self, tmp_path):
         spec = SyntheticSpec(seed=5, n_episodes=2)
         generate_synthetic_dataset(tmp_path, spec)

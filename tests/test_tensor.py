@@ -29,6 +29,7 @@ from quag.tensor import (
     reshape,
     sigmoid,
     slice_rows,
+    softmax_core,
     stack_rows,
     sum_all,
     transpose,
@@ -203,8 +204,27 @@ class TestConcat:
         np.testing.assert_allclose(out.data[:, 2:], b)
 
     def test_leading_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            concat_last(Tensor(rand((2, 2))), Tensor(rand((3, 2))))
+        for a_shape, b_shape in [((2, 2), (3, 2)), ((3, 2), (2, 2, 2)), ((2, 4, 1), (3, 4, 5))]:
+            with pytest.raises(ShapeError, match="do not broadcast"):
+                concat_last(Tensor(rand(a_shape)), Tensor(rand(b_shape)))
+
+    def test_row_joins_every_row_of_a_block(self):
+        block, row = rand((4, 3), seed=12), rand((2,), seed=13)
+        out = concat_last(Tensor(block), Tensor(row))
+        assert out.shape == (4, 5)
+        np.testing.assert_array_equal(out.data[:, :3], block)
+        np.testing.assert_array_equal(out.data[:, 3:], np.tile(row, (4, 1)))
+
+    def test_row_gradient_is_the_column_sum_of_its_slice(self):
+        block = Tensor(rand((4, 3), seed=14), requires_grad=True)
+        row = Tensor(rand((2,), seed=15), requires_grad=True)
+        weight = Tensor(rand((4, 5), seed=16))
+        concat = concat_last(row, block)
+        sum_all(concat * weight).backward()
+        np.testing.assert_allclose(row.grad, weight.data[:, :2].sum(axis=0), rtol=1e-6)
+        np.testing.assert_allclose(block.grad, weight.data[:, 2:])
+        f = lambda: sum_all(concat_last(block, row) * concat_last(block, row))
+        assert grad_check(f, [block, row]) < 1e-4
 
     def test_gradient_of_sum_splits_into_ones(self):
         a = Tensor(rand((2, 2), seed=10), requires_grad=True)
@@ -600,6 +620,21 @@ class TestRowMaxAgainstMax:
             assert self.same(log_softmax(Tensor(rows)).data, self.log_softmax_ref(rows))
             assert self.same(log_softmax_core(rows), self.log_softmax_ref(rows))
         assert np.isnan(masked_softmax(Tensor(rows[5:9])).data).all()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_softmax_core_in_place(self, masked):
+        rows = special_rows()
+        mask = np.random.default_rng(96).random(rows.shape) < 0.3 if masked else None
+        with np.errstate(invalid="ignore"):
+            want = self.softmax_ref(np.where(mask, -np.inf, rows) if masked else rows)
+            got = softmax_core(rows, mask)
+        assert got is rows
+        assert self.same(got, want)
+        if masked:
+            finite_rows = np.isfinite(got).all(axis=-1, keepdims=True)
+            assert (got[mask & finite_rows] == 0).all()
+        else:  # a fully -inf row and the rows holding a NaN
+            assert np.isnan(got[4:9]).all()
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_attention_core(self, masked):
