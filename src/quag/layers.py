@@ -2,9 +2,9 @@
 one post-norm transformer block class, whose decoder form adds causal
 masking and cross-attention to the encoder form.
 
-Multi-head attention is the three input projections, one fused
-``tensor.attention`` graph node for the whole core (head split, scaled
-scores, mask, softmax, weighted sum and head merge) and the output
+A linear layer is one autodiff graph node, ``tensor.affine``, and so is
+multi-head attention, ``tensor.attention``: input projections, head split,
+scaled scores, mask, softmax, weighted sum, head merge and output
 projection. The cached decoder ``step`` is plain numpy on the same ops'
 forward cores: ``tensor.attention_core``, ``layer_norm_core``, ``gelu_core``.
 
@@ -23,15 +23,14 @@ import numpy as np
 from quag.tensor import (
     ShapeError,
     Tensor,
+    affine,
     attention,
     attention_core,
     gelu,
     gelu_core,
     layer_norm,
     layer_norm_core,
-    matmul,
     mul,
-    reshape,
 )
 
 __all__ = [
@@ -91,15 +90,8 @@ class LinearLayer:
 
 
 def linear(x: Tensor, layer: LinearLayer) -> Tensor:
-    """Apply an affine layer to a rank-1 or rank-2 input."""
-    if x.shape[-1] != layer.in_dim:
-        raise ShapeError(
-            f"linear expects last extent {layer.in_dim}, got input shape {x.shape}"
-        )
-    if x.ndim == 1:
-        out = matmul(reshape(x, (1, x.shape[0])), layer.weight) + layer.bias
-        return reshape(out, (layer.out_dim,))
-    return matmul(x, layer.weight) + layer.bias
+    """Apply an affine layer to a rank-1 or rank-2 input: one ``tensor.affine`` node."""
+    return affine(x, layer.weight, layer.bias)
 
 
 class MultiHeadAttention:
@@ -135,17 +127,15 @@ class MultiHeadAttention:
 def mha(query: Tensor, key: Tensor, value: Tensor, attn: MultiHeadAttention,
         mask: Optional[np.ndarray] = None) -> Tensor:
     """Multi-head attention over [Lq x D] queries and [Lk x D] keys/values:
-    the ``wq``/``wk``/``wv`` projections, the fused ``tensor.attention`` core
-    and ``wo``, five graph nodes in all.
+    one ``tensor.attention`` graph node for the ``wq``/``wk``/``wv``
+    projections, the attention core and ``wo``.
 
     Head i attends with channels [i*D/h, (i+1)*D/h) of the projections.
     ``mask`` is boolean [Lq x Lk] with True marking keys a query must not
     attend to, shared by every head; masked keys receive exactly zero weight,
     and a fully-masked query row is an error.
     """
-    ctx = attention(matmul(query, attn.wq), matmul(key, attn.wk), matmul(value, attn.wv),
-                    attn.n_heads, mask)
-    return matmul(ctx, attn.wo)
+    return attention(query, key, value, attn.wq, attn.wk, attn.wv, attn.wo, attn.n_heads, mask)
 
 
 def causal_mask(length: int) -> np.ndarray:

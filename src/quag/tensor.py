@@ -4,7 +4,8 @@ Values are stored as row-major numpy arrays (float32 by default; float64 is
 preserved when supplied, which the gradient checker uses internally). Every
 differentiable operation records its inputs and a backward rule on the output
 tensor; ``Tensor.backward`` replays them once in reverse topological order,
-summing gradients into shared inputs. The elementwise ops and ``concat_last``
+summing gradients into shared inputs and freeing each op node's gradient as
+soon as its rule has used it. The elementwise ops and ``concat_last``
 broadcast as numpy does; backward sums each gradient back to its operand's
 shape. Graph-free decoding runs the ops' numpy forward cores (``softmax_core``,
 ``attention_core``, ...), so no formula is written twice.
@@ -29,6 +30,7 @@ __all__ = [
     "ShapeError",
     "no_grad",
     "matmul",
+    "affine",
     "transpose",
     "reshape",
     "concat_last",
@@ -110,7 +112,9 @@ class Tensor:
         return float(self.data)
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run one reverse traversal, accumulating gradients into leaves."""
+        """Run one reverse traversal, adding this call's gradients into the
+        leaves. Every op node's ``.grad`` is None afterwards: it is freed as
+        soon as its backward has used it."""
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
         if grad is None:
@@ -181,10 +185,15 @@ class ComputationTape:
         return cls(nodes)
 
     def run_backward(self, root: Tensor, seed_grad: np.ndarray) -> None:
+        """Run each op node's backward once, outputs first. An op node's
+        gradient is dropped as soon as its backward has used it, so the pass
+        holds only the gradients still pending and each pass adds exactly one
+        gradient into the leaves."""
         root.grad = seed_grad if root.grad is None else root.grad + seed_grad
         for node in reversed(self.nodes):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
 
 def _coerce(value, like: Tensor) -> Tensor:
@@ -274,6 +283,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(data, (a, b), backward)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, for ``x`` [IN] or [N x IN], ``w`` [IN x OUT]
+    and ``b`` [OUT]. A rank-1 ``x`` is multiplied as a one-row matrix, so it
+    rounds as the [1 x IN] product does."""
+    if x.ndim not in (1, 2) or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    rows = x.data.reshape(-1, w.shape[0])
+    data = rows @ w.data + b.data
+
+    def backward(g):
+        g = g.reshape(data.shape)
+        _accumulate(b, _unbroadcast(g, b.shape))
+        if x.requires_grad:
+            _accumulate(x, (g @ w.data.T).reshape(x.shape))
+        _accumulate(w, rows.T @ g)
+
+    return _node(data.reshape(x.shape[:-1] + b.shape), (x, w, b), backward)
 
 
 def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -490,22 +518,28 @@ def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return w @ v, w
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              mask: Optional[np.ndarray] = None) -> Tensor:
-    """Multi-head scaled dot-product attention as one graph node.
+def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+              wo: Tensor, n_heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
+    """A multi-head attention layer as one graph node: [Lq x IN] queries
+    ``xq`` and [Lk x IN] keys ``xk`` and values ``xv``, projected by ``wq``,
+    ``wk`` and ``wv`` [IN x D], attended per head (``attention_core``; head i
+    uses channels [i*D/h, (i+1)*D/h)), merged back in that head-major order
+    and projected by ``wo`` [D x D']. ``mask``, boolean [Lq x Lk] and shared
+    by every head, is True at keys a query must not attend to; those get
+    exactly zero weight, and a query row with every key masked is an error.
 
-    ``q`` is [Lq x D] projected queries, ``k`` and ``v`` [Lk x D] projected
-    keys and values. Head i uses channels [i*D/h, (i+1)*D/h); the merged
-    [Lq x D] context keeps that head-major channel order. ``mask``, boolean
-    [Lq x Lk] and shared by every head, is True at keys a query must not
-    attend to; those get exactly zero weight, and a query row with every key
-    masked is an error. The backward is the softmax Jacobian-vector product
-    written out per head: dv = wᵀg, ds = (g vᵀ − Σ(g vᵀ ⊙ w)) ⊙ w · scale,
-    dq = ds k, dk = dsᵀ q.
+    The backward is the softmax Jacobian-vector product written out per head
+    (dv = wᵀg, ds = (g vᵀ − Σ(g vᵀ ⊙ w)) ⊙ w · scale, dq = ds k, dk = dsᵀ q)
+    between the projections' matmul gradients. It adds into the values, then
+    the keys, then the queries, as the five nodes it replaces did, so an input
+    in several roles (self-attention's) gets the same float sums.
     """
-    if q.ndim != 2 or k.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]:
-        raise ShapeError(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape} do not fit")
-    (n_q, dim), n_k = q.shape, k.shape[0]
+    if (any(x.ndim != 2 or p.shape != (x.shape[1], wq.shape[1])
+            for x, p in ((xq, wq), (xk, wk), (xv, wv)))
+            or xk.shape[0] != xv.shape[0] or wo.ndim != 2 or wo.shape[0] != wq.shape[1]):
+        raise ShapeError(f"attention inputs {xq.shape}, {xk.shape}, {xv.shape} do not fit "
+                         f"weights {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
+    n_q, n_k, dim = xq.shape[0], xk.shape[0], wq.shape[1]
     if dim % n_heads != 0:
         raise ShapeError(f"attention dim {dim} not divisible by {n_heads} heads")
     if mask is not None:
@@ -515,31 +549,34 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         if mask.all(axis=-1).any():
             raise ValueError("attention: a query row has every key masked")
     split = (-1, n_heads, dim // n_heads)
-    # Contiguous head-major copies: the products then round as the
-    # per-head matmuls of stacked [h, L, D/h] tensors do.
-    qh = np.ascontiguousarray(q.data.reshape(split).transpose(1, 0, 2))
-    kh = np.ascontiguousarray(k.data.reshape(split).transpose(1, 2, 0))
-    vh = np.ascontiguousarray(v.data.reshape(split).transpose(1, 0, 2))
-    ctx, w = attention_core(qh, kh, vh, mask)
-    scale = w.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
 
     def merge(heads: np.ndarray) -> np.ndarray:
         return heads.transpose(1, 0, 2).reshape(-1, dim)
 
+    # Contiguous head-major copies: the products then round as the
+    # per-head matmuls of stacked [h, L, D/h] tensors do.
+    qh = np.ascontiguousarray((xq.data @ wq.data).reshape(split).transpose(1, 0, 2))
+    kh = np.ascontiguousarray((xk.data @ wk.data).reshape(split).transpose(1, 2, 0))
+    vh = np.ascontiguousarray((xv.data @ wv.data).reshape(split).transpose(1, 0, 2))
+    heads, w = attention_core(qh, kh, vh, mask)
+    ctx, scale = merge(heads), w.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
+
     def backward(g):
-        gh = g.reshape(split).transpose(1, 0, 2)
-        if v.requires_grad:
-            _accumulate(v, merge(np.swapaxes(w, -1, -2) @ gh))
+        _accumulate(wo, ctx.T @ g)
+        gh = (g @ wo.data.T).reshape(split).transpose(1, 0, 2)
+        dv = merge(np.swapaxes(w, -1, -2) @ gh)
         ds = gh @ np.swapaxes(vh, -1, -2)
         ds -= (ds * w).sum(axis=-1, keepdims=True)
         ds *= w
         ds *= scale
-        if q.requires_grad:
-            _accumulate(q, merge(ds @ np.swapaxes(kh, -1, -2)))
-        if k.requires_grad:
-            _accumulate(k, merge(np.swapaxes(ds, -1, -2) @ qh))
+        dq = merge(ds @ np.swapaxes(kh, -1, -2))
+        dk = merge(np.swapaxes(ds, -1, -2) @ qh)
+        for x, p, dp in ((xv, wv, dv), (xk, wk, dk), (xq, wq, dq)):
+            if x.requires_grad:
+                _accumulate(x, dp @ p.data.T)
+            _accumulate(p, x.data.T @ dp)
 
-    return _node(merge(ctx), (q, k, v), backward)
+    return _node(ctx @ wo.data, (xq, xk, xv, wq, wk, wv, wo), backward)
 
 
 def log_softmax_core(x: np.ndarray) -> np.ndarray:

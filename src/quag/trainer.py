@@ -274,6 +274,7 @@ def round_robin_epoch(model: QuagParams, loaders: TaskLoaders, schedule: TrainSc
 # and a resumed run stays bit-identical to an uninterrupted one.
 
 _DTYPE_TAGS = {tag: np.dtype(tag.decode("ascii")) for tag in (b"<f4", b"<f8", b"<i8")}
+_MAX_RANK = 32  # NumPy 1's array rank limit; no entry comes near it
 
 
 def _checkpoint_arrays(model: QuagParams, optimizer: Optional[AdamW]) -> dict[str, np.ndarray]:
@@ -327,94 +328,101 @@ def save_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
         tmp.unlink(missing_ok=True)
 
 
-def _read_checkpoint(path: Path) -> tuple[str, dict[str, np.ndarray]]:
-    """The config digest and every entry of a v2 checkpoint, each entry a
-    read-only view of the file's bytes in its stored dtype.
+def _index_checkpoint(f, path: Path) -> tuple[str, dict[str, tuple[np.dtype, tuple, int]]]:
+    """The config digest and each entry's dtype, shape and value offset in
+    the open v2 checkpoint ``f``: every header is read and checked, every
+    payload skipped. Any malformed input raises ``CheckpointError``."""
+    size = os.fstat(f.fileno()).st_size
 
-    Any malformed input raises ``CheckpointError``.
-    """
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
+    def take(n: int) -> bytes:
+        if n > size - f.tell():
+            raise CheckpointError(f"{path}: truncated checkpoint: a header runs past the end")
+        return f.read(n)
+
+    head = f.read(12)
+    if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad checkpoint magic")
-    version, digest_len = struct.unpack("<II", raw[4:12])
+    version, digest_len = struct.unpack("<II", head[4:])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
     try:
-        digest = raw[offset:offset + digest_len].decode("ascii")
-        offset += digest_len
-        (count,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        entries: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            name = raw[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            tag = raw[offset:offset + 3]
-            offset += 3
+        digest = take(digest_len).decode("ascii")
+        index = {}
+        for _ in range(struct.unpack("<I", take(4))[0]):
+            name = take(struct.unpack("<I", take(4))[0]).decode("utf-8")
+            tag = take(3)
             if tag not in _DTYPE_TAGS:
                 raise CheckpointError(f"{path}: entry {name!r} has unknown dtype tag {tag!r}")
-            dtype = _DTYPE_TAGS[tag]
-            (rank,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{rank}I", raw, offset)
-            offset += 4 * rank
-            n_values = math.prod(shape)
-            if offset + n_values * dtype.itemsize > len(raw):
+            (rank,) = struct.unpack("<I", take(4))
+            if rank > _MAX_RANK:
+                raise CheckpointError(f"{path}: corrupt checkpoint: entry {name!r} has rank {rank}")
+            shape = struct.unpack(f"<{rank}I", take(4 * rank))
+            index[name] = (_DTYPE_TAGS[tag], shape, f.tell())
+            end = f.tell() + math.prod(shape) * _DTYPE_TAGS[tag].itemsize
+            if end > size:
                 raise CheckpointError(f"{path}: truncated checkpoint: entry {name!r} runs past the end")
-            arr = np.frombuffer(raw, dtype=dtype, count=n_values, offset=offset)
-            offset += n_values * dtype.itemsize
-            entries[name] = arr.reshape(shape)
-    except CheckpointError:
-        raise
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
-        # ValueError: numpy refusing a corrupt rank or extent
+            f.seek(end)
+    except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after the last entry")
-    return digest, entries
+    if f.tell() != size:
+        raise CheckpointError(f"{path}: {size - f.tell()} trailing bytes after the last entry")
+    return digest, index
 
 
-def _entry(entries: dict[str, np.ndarray], name: str, shape: tuple[int, ...],
-           path: Path) -> np.ndarray:
-    if name not in entries:
+def _entry(index: dict, name: str, shape: tuple[int, ...], path: Path) -> tuple:
+    if name not in index:
         raise CheckpointError(f"{path}: missing entry {name!r}")
-    if entries[name].shape != shape:
-        raise CheckpointError(
-            f"{path}: entry {name!r} has shape {entries[name].shape}, expected {shape}"
-        )
-    return entries[name]
+    if index[name][1] != shape:
+        raise CheckpointError(f"{path}: entry {name!r} has shape {index[name][1]}, expected {shape}")
+    return index[name]
 
 
-def _counter(entries: dict[str, np.ndarray], name: str, path: Path) -> int:
-    entry = _entry(entries, name, (1,), path)
-    if entry.dtype != _DTYPE_TAGS[b"<i8"] or entry[0] < 0:
-        raise CheckpointError(f"{path}: entry {name!r} is {entry.dtype.str} {entry[0]}, not a count")
-    return int(entry[0])
+def _read_into(f, entry: tuple, out: np.ndarray, path: Path) -> None:
+    """Read an indexed entry's values into ``out``, an array of its shape:
+    straight in when ``out`` has the stored dtype, else through a buffer."""
+    dtype, shape, offset = entry
+    buf = out if out.dtype == dtype else np.empty(shape, dtype)
+    f.seek(offset)
+    if f.readinto(buf) != buf.nbytes:
+        raise CheckpointError(f"{path}: checkpoint shrank while it was read")
+    if buf is not out:
+        np.copyto(out, buf)
+
+
+def _counter(f, index: dict, name: str, path: Path) -> int:
+    entry = _entry(index, name, (1,), path)
+    value = np.empty(1, entry[0])
+    _read_into(f, entry, value, path)
+    if entry[0] != _DTYPE_TAGS[b"<i8"] or value[0] < 0:
+        raise CheckpointError(f"{path}: entry {name!r} is {entry[0].str} {value[0]}, not a count")
+    return int(value[0])
 
 
 def load_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
                     optimizer: Optional[AdamW] = None) -> int:
     """Restore parameters (and optimizer state); returns completed epochs.
 
-    Everything is checked before anything is restored, and a malformed or
-    mismatched checkpoint raises ``CheckpointError``. Each entry is copied
-    into its array, so the arrays keep their objects and dtypes.
+    A first pass reads and checks every header and the counters, so a
+    malformed, truncated or mismatched checkpoint raises ``CheckpointError``
+    before anything is restored. A second pass reads each entry's values
+    straight into its array, so the arrays keep their objects and dtypes and
+    the file is never held in memory.
     """
-    digest, entries = _read_checkpoint(path)
-    if digest != config.digest():
-        raise CheckpointError(
-            f"{path}: checkpoint was written for a different config "
-            f"(digest {digest[:12]}.. != {config.digest()[:12]}..)"
-        )
-    arrays = _checkpoint_arrays(model, optimizer)
-    saved = [_entry(entries, name, arr.shape, path) for name, arr in arrays.items()]
-    epoch = _counter(entries, "trainer.epoch", path)
+    with open(path, "rb") as f:
+        digest, index = _index_checkpoint(f, path)
+        if digest != config.digest():
+            raise CheckpointError(
+                f"{path}: checkpoint was written for a different config "
+                f"(digest {digest[:12]}.. != {config.digest()[:12]}..)"
+            )
+        arrays = _checkpoint_arrays(model, optimizer)
+        saved = [_entry(index, name, arr.shape, path) for name, arr in arrays.items()]
+        epoch = _counter(f, index, "trainer.epoch", path)
+        step = _counter(f, index, "trainer.step", path) if optimizer is not None else 0
+        for arr, entry in zip(arrays.values(), saved):
+            _read_into(f, entry, arr, path)
     if optimizer is not None:
-        optimizer.t = _counter(entries, "trainer.step", path)
-    for arr, values in zip(arrays.values(), saved):
-        np.copyto(arr, values)
+        optimizer.t = step
     return epoch
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import key_masks
+from quag import tensor
 from quag.layers import (
     LinearLayer,
     MultiHeadAttention,
@@ -62,6 +63,52 @@ def composed_mha(query, key, value, attn, mask=None):
     w = masked_softmax(matmul(q, k) * (1.0 / math.sqrt(q.shape[-1])), mask)
     ctx = transpose(matmul(w, v), (1, 0, 2))
     return matmul(reshape(ctx, (-1, attn.dim)), attn.wo)
+
+
+def attention_node(q, k, v, n_heads, mask=None):
+    """The attention core as one node over projected [Lq x D] queries and
+    [Lk x D] keys and values: the op ``tensor.attention`` was before it took
+    the projections in, with the same hand-written backward."""
+    dim = q.shape[1]
+    split = (-1, n_heads, dim // n_heads)
+    qh = np.ascontiguousarray(q.data.reshape(split).transpose(1, 0, 2))
+    kh = np.ascontiguousarray(k.data.reshape(split).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(v.data.reshape(split).transpose(1, 0, 2))
+    ctx, w = attention_core(qh, kh, vh, mask)
+    scale = w.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
+
+    def merge(heads):
+        return heads.transpose(1, 0, 2).reshape(-1, dim)
+
+    def backward(g):
+        gh = g.reshape(split).transpose(1, 0, 2)
+        tensor._accumulate(v, merge(np.swapaxes(w, -1, -2) @ gh))
+        ds = gh @ np.swapaxes(vh, -1, -2)
+        ds -= (ds * w).sum(axis=-1, keepdims=True)
+        ds *= w
+        ds *= scale
+        tensor._accumulate(q, merge(ds @ np.swapaxes(kh, -1, -2)))
+        tensor._accumulate(k, merge(np.swapaxes(ds, -1, -2) @ qh))
+
+    return tensor._node(merge(ctx), (q, k, v), backward)
+
+
+def five_node_mha(query, key, value, attn, mask=None):
+    """Multi-head attention as five graph nodes, as ``mha`` was before
+    ``tensor.attention`` took the projections in: three input projections,
+    the attention core and ``wo``. The fused node must equal it bit for bit."""
+    ctx = attention_node(matmul(query, attn.wq), matmul(key, attn.wk), matmul(value, attn.wv),
+                         attn.n_heads, mask)
+    return matmul(ctx, attn.wo)
+
+
+def two_node_linear(x, layer):
+    """``linear`` as it was before ``tensor.affine``: a matmul and a bias add,
+    a rank-1 input reshaped to one row and back."""
+    if x.ndim == 1:
+        out = matmul(reshape(x, (1, x.shape[0])), layer.weight) + layer.bias
+        return reshape(out, (layer.out_dim,))
+    return matmul(x, layer.weight) + layer.bias
 
 
 def core_weights(query, key, attn, mask=None):
@@ -256,14 +303,66 @@ class TestFusedAgainstComposed:
             assert fused.dtype == composed.dtype == np.float32
             assert np.abs(fused - composed).max() <= 1e-5 * np.abs(composed).max()
 
-    def test_records_five_nodes(self):
+    def test_records_one_node(self):
         attn = MultiHeadAttention.create(rng(62), 16, 4)
         x = Tensor(rng(63).standard_normal((5, 16)).astype(np.float32), requires_grad=True)
         y = Tensor(rng(64).standard_normal((3, 16)).astype(np.float32), requires_grad=True)
-        # x, y and the four weights are the leaves; the three input
-        # projections, the attention op and wo are the five op nodes.
-        assert len(ComputationTape.trace(mha(x, y, y, attn)).nodes) == 6 + 5
+        # x, y and the four weights are the leaves; the fused attention is
+        # the one op node, where the five-node form had the three input
+        # projections, the attention core and wo.
+        assert len(ComputationTape.trace(mha(x, y, y, attn)).nodes) == 6 + 1
+        assert len(ComputationTape.trace(five_node_mha(x, y, y, attn)).nodes) == 6 + 5
         assert len(ComputationTape.trace(composed_mha(x, y, y, attn)).nodes) == 6 + 16
+
+
+def forward_and_grads(f, inputs, params, upstream):
+    """``f(*inputs)``'s value and, after ``sum_all(f(*inputs) * upstream)``
+    runs backward, the gradient of every input and parameter."""
+    for p in params:
+        p.grad = None
+    out = f(*inputs)
+    sum_all(out * upstream).backward()
+    return out.data, [p.grad for p in params]
+
+
+class TestOneNodeAgainstParent:
+    """The one-node ``mha`` and ``linear`` against the five-node and
+    two-node forms they replace: the same float32 arithmetic, added into
+    each input in the same order (value, key, query), so the value and
+    every gradient are bit-equal, also for inputs shared between roles."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 8])
+    @pytest.mark.parametrize("mask_kind", ["none", "causal", "padded"])
+    @pytest.mark.parametrize("roles", ["distinct", "key-is-value", "all-same"])
+    def test_mha_equals_five_nodes(self, roles, mask_kind, n_heads):
+        attn = MultiHeadAttention.create(rng(70 + n_heads), 16, n_heads)
+        g = rng(71)
+        n_q, n_k = (6, 6) if roles == "all-same" else (5, 7)
+        q, k, v = (Tensor(g.standard_normal((n, 16)).astype(np.float32), requires_grad=True)
+                   for n in (n_q, n_k, n_k))
+        inputs = {"distinct": (q, k, v), "key-is-value": (q, k, k), "all-same": (q, q, q)}[roles]
+        mask = key_masks(n_q, n_k)[mask_kind]
+        upstream = Tensor(g.standard_normal((n_q, 16)).astype(np.float32))
+        params = list(dict.fromkeys(inputs)) + [attn.wq, attn.wk, attn.wv, attn.wo]
+        got, want = (forward_and_grads(lambda *x: f(*x, attn, mask=mask), inputs, params,
+                                       upstream) for f in (mha, five_node_mha))
+        assert np.array_equal(got[0], want[0])
+        for a, b in zip(got[1], want[1]):
+            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["rank1", "rank2"])
+    def test_linear_equals_two_nodes(self, shape):
+        layer = LinearLayer.create(rng(72), 4, 5)
+        x = Tensor(rng(73).standard_normal(shape).astype(np.float32), requires_grad=True)
+        upstream = Tensor(rng(74).standard_normal(shape[:-1] + (5,)).astype(np.float32))
+        params = [x, layer.weight, layer.bias]
+        # x enters twice, so each gradient is a sum in tape order
+        got, want = (forward_and_grads(lambda x: f(x, layer) * f(x, layer), [x], params,
+                                       upstream) for f in (linear, two_node_linear))
+        assert np.array_equal(got[0], want[0])
+        for a, b in zip(got[1], want[1]):
+            assert np.array_equal(a, b)
+        assert len(ComputationTape.trace(linear(x, layer)).nodes) == 3 + 1
 
 
 class TestEncoder:

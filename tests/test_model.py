@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config as corpus_config
+from quag import heads, layers
 from quag.data import BOS, EOS, EpisodeRecord, step_frame_spans
 from quag.heads import (
     StepBoundaryState,
@@ -340,17 +341,45 @@ class TestGraphSize:
     """Graph nodes, leaves included, of one tiny-corpus batch per task: a
     pure function of the code, unlike a count taken over the batches a timed
     run happens to reach. With the 16-node composed attention the counts were
-    516, 505 and 751; the fused attention op (5 nodes per ``mha``) gave 340,
-    329 and 465. QC² joining the query to the stream through a broadcasting
-    ``concat_last``, not a reshape and a multiply by ones, gives the pinned
-    ones."""
+    516, 505 and 751; the fused attention core (5 nodes per ``mha``) gave 340,
+    329 and 465, and a broadcasting ``concat_last`` in QC² 332, 321 and 457.
+    One node per layer, ``tensor.attention`` with its projections and
+    ``tensor.affine`` for every linear, gives the pinned ones."""
 
-    @pytest.mark.parametrize("task,pinned", [("ret", 332), ("seg", 321), ("cap", 457)],
+    @pytest.mark.parametrize("task,pinned", [("ret", 220), ("seg", 212), ("cap", 298)],
                              ids=["ret", "seg", "cap"])
     def test_node_count_is_pinned(self, tiny_corpus, task, pinned):
         params = QuagParams(corpus_config(tiny_corpus))
         bundle = batch_loss(tiny_corpus.load_episodes(), params, task, params.config.lam)
         assert len(ComputationTape.trace(bundle.total).nodes) <= pinned
+
+
+@pytest.mark.parametrize("task", ["ret", "seg", "cap"])
+def test_backward_frees_interior_gradients_and_matches_parent_layers(
+        tiny_corpus, monkeypatch, task):
+    """After one tiny-corpus batch's backward no op node holds a gradient,
+    and every parameter gradient equals, bit for bit, the one the five-node
+    ``mha`` and two-node ``linear`` give."""
+    from test_layers import five_node_mha, two_node_linear
+
+    def grads():
+        params = QuagParams(corpus_config(tiny_corpus))
+        total = batch_loss(tiny_corpus.load_episodes(), params, task, params.config.lam).total
+        total.backward()
+        return ComputationTape.trace(total).nodes, params.named_parameters()
+
+    nodes, got = grads()
+    assert all(n.grad is None for n in nodes if n._backward is not None)
+    monkeypatch.setattr(layers, "mha", five_node_mha)
+    monkeypatch.setattr(layers, "linear", two_node_linear)
+    monkeypatch.setattr(heads, "linear", two_node_linear)
+    parent_nodes, want = grads()
+    assert len(parent_nodes) > len(nodes)
+    for name, p in got.items():
+        if want[name].grad is None:
+            assert p.grad is None, name
+        else:
+            assert np.array_equal(p.grad, want[name].grad), name
 
 
 class TestPredict:

@@ -520,41 +520,147 @@ class TestAttention:
         return [Tensor(g.standard_normal((n, dim)).astype(dtype), requires_grad=True)
                 for n in (n_q, n_k, n_k)]
 
+    @staticmethod
+    def weights(dim, dtype=np.float64, seed=72):
+        """wq, wk, wv and wo, scaled so the scores stay near unit size."""
+        g = np.random.default_rng(seed)
+        return [Tensor((g.standard_normal((dim, dim)) / math.sqrt(dim)).astype(dtype),
+                       requires_grad=True) for _ in range(4)]
+
     @pytest.mark.parametrize("n_heads", [1, 2, 8])
     @pytest.mark.parametrize("mask_kind", ["none", "causal", "padded"])
     def test_gradient(self, n_heads, mask_kind):
         q, k, v = self.qkv(3, 5, 16)
+        ws = self.weights(16)
         mask = key_masks(3, 5)[mask_kind]
         w = Tensor(rand((3, 16), seed=71).astype(np.float64))
-        err = grad_check(lambda: sum_all(attention(q, k, v, n_heads, mask) * w), [q, k, v],
-                         h=1e-3)
+        err = grad_check(lambda: sum_all(attention(q, k, v, *ws, n_heads, mask) * w),
+                         [q, k, v] + ws, h=1e-3, max_coords=40)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 8])
+    @pytest.mark.parametrize("mask_kind", ["none", "causal", "padded"])
+    @pytest.mark.parametrize("shared", ["key-is-value", "all-same"])
+    def test_gradient_shared_inputs(self, shared, mask_kind, n_heads):
+        """One tensor as keys and values, or as queries, keys and values:
+        the backward adds each use's gradient into it."""
+        n_q = 5 if shared == "all-same" else 3
+        q, kv, _ = self.qkv(n_q, 5, 16, seed=73)
+        q = kv if shared == "all-same" else q
+        ws = self.weights(16, seed=74)
+        mask = key_masks(n_q, 5)[mask_kind]
+        w = Tensor(rand((n_q, 16), seed=75).astype(np.float64))
+        inputs = [kv] if shared == "all-same" else [q, kv]
+        err = grad_check(lambda: sum_all(attention(q, kv, kv, *ws, n_heads, mask) * w),
+                         inputs + ws, h=1e-3, max_coords=40)
+        assert err < 1e-5
 
     def test_fully_masked_padding_row_rejected(self):
         q, k, v = self.qkv(3, 5, 8)
         mask = key_masks(3, 5)["padded"]
         mask[2] = True
         with pytest.raises(ValueError, match="masked"):
-            attention(q, k, v, 2, mask)
+            attention(q, k, v, *self.weights(8), 2, mask)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_input_dtype(self, dtype):
         q, k, v = self.qkv(4, 6, 8, dtype)
-        out = attention(q, k, v, 2, key_masks(4, 6)["causal"])
+        ws = self.weights(8, dtype)
+        out = attention(q, k, v, *ws, 2, key_masks(4, 6)["causal"])
         assert out.data.dtype == dtype
         sum_all(out).backward()
-        assert {t.grad.dtype for t in (q, k, v)} == {np.dtype(dtype)}
+        assert {t.grad.dtype for t in [q, k, v] + ws} == {np.dtype(dtype)}
 
     def test_shape_errors(self):
         q, k, v = self.qkv(3, 5, 8)
+        ws = self.weights(8)
         with pytest.raises(ShapeError):
-            attention(q, k, Tensor(rand((4, 8))), 2)
+            attention(q, k, Tensor(rand((4, 8))), *ws, 2)
         with pytest.raises(ShapeError):
-            attention(q, Tensor(rand((5, 6))), Tensor(rand((5, 6))), 2)
+            attention(q, Tensor(rand((5, 6))), Tensor(rand((5, 6))), *ws, 2)
         with pytest.raises(ShapeError):
-            attention(q, k, v, 3)
+            attention(q, k, v, *ws, 3)
         with pytest.raises(ShapeError):
-            attention(q, k, v, 2, np.zeros((5, 3), dtype=bool))
+            attention(q, k, v, *ws, 2, np.zeros((5, 3), dtype=bool))
+        with pytest.raises(ShapeError):
+            attention(q, k, v, *ws[:3], Tensor(rand((6, 8))), 2)
+
+    def test_records_one_node(self):
+        q, k, v = self.qkv(3, 5, 8)
+        ws = self.weights(8)
+        out = attention(q, k, v, *ws, 2)
+        assert out._parents == (q, k, v, *ws)
+        assert len(ComputationTape.trace(out).nodes) == 7 + 1
+
+
+class TestAffine:
+    @pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["rank1", "rank2"])
+    def test_gradient(self, shape):
+        x = Tensor(rand(shape, seed=80).astype(np.float64), requires_grad=True)
+        w = Tensor(rand((4, 3), seed=81).astype(np.float64), requires_grad=True)
+        b = Tensor(rand(3, seed=82).astype(np.float64), requires_grad=True)
+        out = T.affine(x, w, b)
+        assert out.shape == shape[:-1] + (3,)
+        np.testing.assert_allclose(out.data, x.data @ w.data + b.data, rtol=1e-12)
+        err = grad_check(lambda: sum_all(T.affine(x, w, b) * T.affine(x, w, b)), [x, w, b],
+                         h=1e-3)
+        assert err < 1e-6
+
+    def test_input_without_grad(self):
+        x = Tensor(rand((3, 4), seed=83).astype(np.float64))
+        w = Tensor(rand((4, 2), seed=84).astype(np.float64), requires_grad=True)
+        b = Tensor(rand(2, seed=85).astype(np.float64), requires_grad=True)
+        err = grad_check(lambda: sum_all(T.affine(x, w, b) * T.affine(x, w, b)), [w, b], h=1e-3)
+        assert err < 1e-6
+        sum_all(T.affine(x, w, b)).backward()
+        assert x.grad is None
+
+    @pytest.mark.parametrize("x,w,b", [((2, 5), (4, 3), (3,)), ((2, 4), (4, 3), (2,)),
+                                       ((2, 2, 4), (4, 3), (3,)), ((4,), (4,), (1,))])
+    def test_shape_errors(self, x, w, b):
+        with pytest.raises(ShapeError):
+            T.affine(Tensor(rand(x)), Tensor(rand(w)), Tensor(rand(b)))
+
+
+class TestRepeatedBackward:
+    """Each ``backward()`` adds exactly one pass into the leaves, because the
+    op nodes' gradients are freed as the pass uses them."""
+
+    @staticmethod
+    def chain():
+        x = Tensor(rand(3, seed=90), requires_grad=True)
+        return [x], sum_all(sigmoid(x * 2.0) * 3.0)
+
+    @staticmethod
+    def diamond():
+        x = Tensor(rand((2, 3), seed=91), requires_grad=True)
+        h = x * 1.5
+        return [x], sum_all(gelu(h) * sigmoid(h) + h)
+
+    @staticmethod
+    def parameter_used_twice():
+        # Small integers, so summing a leaf's two gradients is exact.
+        g = np.random.default_rng(92)
+        x, w, b = (Tensor(g.integers(-3, 4, shape).astype(np.float32), requires_grad=True)
+                   for shape in ((2, 4), (4, 4), (4,)))
+        return [x, w, b], sum_all(T.affine(T.affine(x, w, b), w, b))
+
+    @pytest.mark.parametrize("build", ["chain", "diamond", "parameter_used_twice"])
+    def test_two_calls_give_twice_one(self, build):
+        leaves, out = getattr(self, build)()
+        out.backward()
+        once = [t.grad.copy() for t in leaves]
+        out.backward()
+        for t, g in zip(leaves, once):
+            assert np.array_equal(t.grad, 2 * g)
+        assert all(n.grad is None for n in ComputationTape.trace(out).nodes if n._backward)
+
+    def test_chain_of_scalings_reads_four_not_eight(self):
+        x = Tensor(np.float32(1.0), requires_grad=True)
+        out = sum_all(x * 2.0)
+        out.backward()
+        out.backward()
+        assert x.grad == 4.0
 
 
 def special_rows(seed=91):

@@ -235,6 +235,24 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, config, QuagParams(config))
 
+    def test_truncated_checkpoint_leaves_arrays_untouched(self, tiny_corpus, tmp_path):
+        config = tiny_config(tiny_corpus)
+        model, optimizer = _trained_state(config)
+        path = tmp_path / "ckpt.qgck"
+        save_checkpoint(path, config, model, optimizer, epoch=2)
+        raw = path.read_bytes()
+        restored = QuagParams(config)
+        opt2 = AdamW.for_model(restored)
+        arrays = trainer._checkpoint_arrays(restored, opt2)
+        before = {name: arr.copy() for name, arr in arrays.items()}
+        # inside the digest, inside an entry's values, one byte short of the end
+        for cut in (40, len(raw) // 2, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(path, config, restored, opt2)
+            assert all(np.array_equal(arr, before[name]) for name, arr in arrays.items())
+            assert opt2.t == 0
+
 
 def _trained_state(config):
     """A model and optimizer after one step, so every moment is nonzero."""
