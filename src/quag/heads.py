@@ -3,11 +3,9 @@
 Moment retrieval predicts start/end simultaneously over unmasked frames.
 Moment segmentation predicts one boundary at a time: frames outside the
 moment or at/before the last committed boundary are masked out, and
-generation stops when a boundary reaches the span end. A learned marker
-vector is added at the rows of the committed boundaries, but every such row
-is at or before the last boundary, so ``frame_mask`` masks every row the
-marker touches: the marker changes no probability and gets exactly zero
-gradient.
+generation stops when a boundary reaches the span end. The step logits of a
+frame do not depend on the committed boundaries, only the mask does, so
+decoding scores the frames once and runs one masked softmax per boundary.
 
 Step captions are decoded on a ``DecodeState``, one row per caption, so the
 captions of an episode decode together, each against its own step's frames:
@@ -39,6 +37,7 @@ from quag.tensor import (
     masked_softmax,
     reshape,
     slice_rows,
+    softmax_core,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "DecodeState",
     "predict_moment_span",
     "decode_moment",
-    "inject_boundary_markers",
     "step_distribution",
     "predict_step_boundaries",
     "decode_step_caption",
@@ -128,29 +126,21 @@ class StepBoundaryState:
         self.boundaries.append(boundary)
 
 
-def inject_boundary_markers(frames: Tensor, marker: Tensor,
-                            boundary_frames: Sequence[int]) -> Tensor:
-    """Add the marker vector to the rows at committed boundary frames."""
-    if not boundary_frames:
-        return frames
-    flags = np.zeros((frames.shape[0], 1), dtype=np.float32)
-    flags[list(boundary_frames)] = 1.0
-    return frames + Tensor(flags) * marker
-
-
-def step_distribution(frames: Tensor, state: StepBoundaryState,
-                      step_head: LinearLayer, marker: Tensor) -> Tensor:
+def step_distribution(frames: Tensor, state: StepBoundaryState, step_head: LinearLayer,
+                      marker: object = None,  # ignored: for bench/walk.py until ROADMAP 1b
+                      ) -> Tensor:
     """Masked softmax over frames for the next step boundary."""
-    marked = inject_boundary_markers(frames, marker, state.boundaries)
-    logits = reshape(linear(marked, step_head), (frames.shape[0],))
+    logits = reshape(linear(frames, step_head), (frames.shape[0],))
     return masked_softmax(logits, state.frame_mask())
 
 
-def predict_step_boundaries(frames: Tensor, span: tuple[int, int],
-                            step_head: LinearLayer, marker: Tensor,
+def predict_step_boundaries(frames: Tensor, span: tuple[int, int], step_head: LinearLayer,
+                            marker: object = None,  # ignored: for bench/walk.py until ROADMAP 1b
                             max_steps: int = 16) -> list[int]:
     """Greedy autoregressive segmentation of the span into step boundaries.
 
+    The frames are scored once; each boundary is the argmax of the masked
+    softmax of those logits, the probabilities ``step_distribution`` gives.
     Each committed boundary masks everything at or before it, so the output is
     strictly ascending and bounded by the span for any parameter values; the
     final boundary always equals the span end.
@@ -158,12 +148,13 @@ def predict_step_boundaries(frames: Tensor, span: tuple[int, int],
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     state = StepBoundaryState(span=span, n_frames=frames.shape[0])
+    logits = linear(frames, step_head).data.reshape(-1)
     end = span[1]
     for _ in range(max_steps):
         if state.last_boundary == end:
             break
-        probs = step_distribution(frames, state, step_head, marker)
-        state.commit(int(np.argmax(probs.data)))
+        probs = softmax_core(logits.copy(), state.frame_mask())
+        state.commit(int(np.argmax(probs)))
     bounds = state.boundaries
     if not bounds or bounds[-1] != end:
         if len(bounds) < max_steps:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class ModelConfig:
     lam: float = 0.1
     normalize_contrastive: bool = False
     use_positional: bool = True
-    caption_context: str = "step"  # or "moment"
+    caption_context: ClassVar[str] = "step"  # not a field: for bench/walk.py until ROADMAP 1b
     fusion: str = "quag"
     beam_width: int = 1
     lr: float = 1e-5
@@ -90,8 +90,6 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
         if self.fusion not in FUSION_MODES:
             raise ValueError(f"fusion must be one of {FUSION_MODES}, got {self.fusion!r}")
-        if self.caption_context not in ("step", "moment"):
-            raise ValueError(f"caption_context must be 'step' or 'moment', got {self.caption_context!r}")
         # Written as `not x > 0` so that NaN fails too.
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
@@ -167,6 +165,8 @@ class ModelConfig:
 class QuagParams:
     """Every trainable tensor of the model, reachable by a stable name."""
 
+    boundary_marker = None  # no parameter: for bench/walk.py until ROADMAP 1b
+
     def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
@@ -183,7 +183,6 @@ class QuagParams:
         self.start_head = LinearLayer.create(rng, d, 1)
         self.end_head = LinearLayer.create(rng, d, 1)
         self.step_head = LinearLayer.create(rng, d, 1)
-        self.boundary_marker = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
         self.decoder = CaptionDecoder.create(
             rng, config.vocab_size, d, config.n_heads, config.decoder_layers,
             config.max_caption_len + 1, config.ffn_dim,
@@ -201,7 +200,6 @@ class QuagParams:
         yield from self.start_head.named_params("heads.start")
         yield from self.end_head.named_params("heads.end")
         yield from self.step_head.named_params("heads.step")
-        yield "heads.boundary_marker", self.boundary_marker
         yield from self.decoder.named_params("decoder")
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -297,19 +295,17 @@ def encode_trunk(episode: EpisodeRecord, params: QuagParams,
 
 
 def predict(episode: EpisodeRecord, params: QuagParams) -> PredictionSet:
-    """Decode the moment, segment it, and caption every step, one row each."""
+    """Decode the moment, segment it, and caption every step from its own
+    frames, the steps' captions decoding together as rows of one batch."""
     config = params.config
     with no_grad():
         enhanced, _, _ = encode_trunk(episode, params)
         span = decode_moment(predict_moment_span(enhanced, params.start_head, params.end_head))
         boundaries = predict_step_boundaries(enhanced, span, params.step_head,
-                                             params.boundary_marker, config.max_steps)
-        per_step = config.caption_context == "step"
-        spans = step_frame_spans(span[0], boundaries) if per_step else [span]
+                                             max_steps=config.max_steps)
         captions = params.decoder.beam_decode(
-            [slice_rows(enhanced, lo, hi + 1) for lo, hi in spans],
+            [slice_rows(enhanced, lo, hi + 1)
+             for lo, hi in step_frame_spans(span[0], boundaries)],
             config.max_caption_len, config.beam_width)
-        if not per_step:  # every step shares the moment's memory: decode once, copy
-            captions = [list(captions[0]) for _ in boundaries]
     return PredictionSet(episode_id=episode.id, moment=span, steps=boundaries,
                          captions=captions)

@@ -70,8 +70,16 @@ class AdamW:
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
-        if lr < 0:
-            raise ValueError("learning rate must be nonnegative")
+        # Every comparison is False for NaN, so NaN fails too. A beta of 1
+        # zeroes the bias correction's divisor; eps 0 makes 0/0 of a zero gradient.
+        for name, value, ok, allowed in (
+                ("lr", lr, lr >= 0, ">= 0"),
+                ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
+                ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
+                ("eps", eps, eps > 0, "> 0"),
+                ("weight_decay", weight_decay, weight_decay >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"AdamW {name} must be {allowed}, got {value}")
         self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2 = beta1, beta2
@@ -205,12 +213,10 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
                 state = StepBoundaryState(span=ep.moment, n_frames=ep.n_frames,
                                           boundaries=list(ep.steps[:i]))
                 masks.append(state.frame_mask())
-                heads.append(step_distribution(enhanced, state, model.step_head,
-                                               model.boundary_marker))
+                heads.append(step_distribution(enhanced, state, model.step_head))
             targets.extend(ep.steps)
         else:
-            for span, caption in zip(step_frame_spans(ep.moment[0], ep.steps), ep.captions):
-                lo, hi = span if config.caption_context == "step" else ep.moment
+            for (lo, hi), caption in zip(step_frame_spans(ep.moment[0], ep.steps), ep.captions):
                 clipped = list(caption[: config.max_caption_len - 1])
                 heads.append(model.decoder.teacher_forced_logits(
                     slice_rows(enhanced, lo, hi + 1), [BOS] + clipped, config.dropout, rng))
@@ -260,6 +266,7 @@ def round_robin_epoch(model: QuagParams, loaders: TaskLoaders, schedule: TrainSc
         losses[task].append(bundle.task_loss.item())
         if on_iteration is not None:
             on_iteration(i, bundle)
+        del bundle  # its graph would otherwise stay alive while the next step builds
     return {task: sum(values) / max(1, len(values)) for task, values in losses.items()}
 
 
@@ -369,24 +376,26 @@ def _index_checkpoint(f, path: Path) -> tuple[str, dict[str, tuple[np.dtype, tup
     return digest, index
 
 
-def _entry(index: dict, name: str, shape: tuple[int, ...], path: Path) -> tuple:
+def _entry(index: dict, name: str, shape: tuple[int, ...], path: Path,
+           dtype: Optional[np.dtype] = None) -> tuple:
+    """The indexed entry ``name``, checked to have ``shape`` and, if given,
+    ``dtype``: an entry is read into its live array as it is stored."""
     if name not in index:
         raise CheckpointError(f"{path}: missing entry {name!r}")
     if index[name][1] != shape:
         raise CheckpointError(f"{path}: entry {name!r} has shape {index[name][1]}, expected {shape}")
+    if dtype is not None and index[name][0] != dtype:
+        raise CheckpointError(
+            f"{path}: entry {name!r} has dtype {index[name][0].str}, expected {dtype.str}")
     return index[name]
 
 
 def _read_into(f, entry: tuple, out: np.ndarray, path: Path) -> None:
-    """Read an indexed entry's values into ``out``, an array of its shape:
-    straight in when ``out`` has the stored dtype, else through a buffer."""
-    dtype, shape, offset = entry
-    buf = out if out.dtype == dtype else np.empty(shape, dtype)
-    f.seek(offset)
-    if f.readinto(buf) != buf.nbytes:
+    """Read an indexed entry's values straight into ``out``, an array of its
+    shape and dtype."""
+    f.seek(entry[2])
+    if f.readinto(out) != out.nbytes:
         raise CheckpointError(f"{path}: checkpoint shrank while it was read")
-    if buf is not out:
-        np.copyto(out, buf)
 
 
 def _counter(f, index: dict, name: str, path: Path) -> int:
@@ -416,7 +425,7 @@ def load_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
                 f"(digest {digest[:12]}.. != {config.digest()[:12]}..)"
             )
         arrays = _checkpoint_arrays(model, optimizer)
-        saved = [_entry(index, name, arr.shape, path) for name, arr in arrays.items()]
+        saved = [_entry(index, name, arr.shape, path, arr.dtype) for name, arr in arrays.items()]
         epoch = _counter(f, index, "trainer.epoch", path)
         step = _counter(f, index, "trainer.step", path) if optimizer is not None else 0
         for arr, entry in zip(arrays.values(), saved):

@@ -123,3 +123,30 @@ def test_mistyped_run_config_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", manifest, str(tmp_path / "run")]) == 1
     assert "n_heads" in capsys.readouterr().err
+
+
+def test_adamw_beta_of_one_exits_1(tmp_path, capsys):
+    # the bias correction 1 - beta1**t is 0: a ZeroDivisionError at the first step
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1, "beta1": 1.0}))
+    assert main(["gen", str(tmp_path / "corpus")]) == 0
+    capsys.readouterr()
+    assert main(["train", str(tmp_path / "corpus" / "manifest.json"), str(tmp_path / "run"),
+                 "--config", str(config)]) == 1
+    assert "beta1" in capsys.readouterr().err
+
+
+def test_run_config_with_caption_context_exits_1(tmp_path, capsys):
+    # caption_context is no longer a config field: a run written while it
+    # was one is refused by name, not half loaded
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1}))
+    assert main(["gen", str(tmp_path / "corpus")]) == 0
+    manifest = str(tmp_path / "corpus" / "manifest.json")
+    assert main(["train", manifest, str(tmp_path / "run"), "--config", str(config)]) == 0
+    run_config = tmp_path / "run" / "config.json"
+    run_config.write_text(json.dumps({**json.loads(run_config.read_text()),
+                                      "caption_context": "step"}))
+    capsys.readouterr()
+    assert main(["predict", manifest, str(tmp_path / "run")]) == 1
+    assert "caption_context" in capsys.readouterr().err

@@ -9,14 +9,14 @@ from quag.heads import (
     StepBoundaryState,
     decode_moment,
     decode_step_caption,
-    inject_boundary_markers,
     predict_moment_span,
     predict_step_boundaries,
     step_distribution,
 )
 from quag import tensor
 from quag.layers import LinearLayer, linear
-from quag.tensor import ShapeError, Tensor, attention_core, embed_rows, gelu, no_grad, slice_rows
+from quag.tensor import (ShapeError, Tensor, attention_core, embed_rows, gelu, masked_softmax,
+                         no_grad, reshape, slice_rows, sum_all)
 
 
 def rng(seed=0):
@@ -31,8 +31,36 @@ def head(d=4, seed=1):
     return LinearLayer.create(rng(seed), d, 1)
 
 
-def marker(d=4):
-    return Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
+def marked_step_distribution(frames, state, step_head, marker):
+    """``step_distribution`` as it was with the learned boundary marker: the
+    marker vector added at the rows of the committed boundaries, each of which
+    ``frame_mask`` then hides. Kept as the reference the marker-free head must
+    equal bit for bit."""
+    if state.boundaries:
+        flags = np.zeros((frames.shape[0], 1), dtype=np.float32)
+        flags[state.boundaries] = 1.0
+        frames = frames + Tensor(flags) * marker
+    logits = reshape(linear(frames, step_head), (frames.shape[0],))
+    return masked_softmax(logits, state.frame_mask())
+
+
+def marked_step_boundaries(frames, span, step_head, marker, max_steps):
+    """``predict_step_boundaries`` as it was: one marked
+    ``step_distribution`` per boundary."""
+    state = StepBoundaryState(span=span, n_frames=frames.shape[0])
+    end = span[1]
+    for _ in range(max_steps):
+        if state.last_boundary == end:
+            break
+        probs = marked_step_distribution(frames, state, step_head, marker)
+        state.commit(int(np.argmax(probs.data)))
+    bounds = state.boundaries
+    if not bounds or bounds[-1] != end:
+        if len(bounds) < max_steps:
+            bounds.append(end)
+        else:
+            bounds[-1] = end
+    return bounds
 
 
 class TestMomentSpan:
@@ -129,14 +157,13 @@ class TestDecodeMoment:
 
 class TestStepBoundaries:
     def test_single_frame_span(self):
-        out = predict_step_boundaries(frames_tensor(8), (3, 3), head(), marker())
+        out = predict_step_boundaries(frames_tensor(8), (3, 3), head())
         assert out == [3]
 
     def test_strictly_ascending_for_random_parameters(self):
         for seed in range(50):
             frames = frames_tensor(10, seed=seed)
-            bounds = predict_step_boundaries(frames, (2, 8), head(seed=seed), marker(),
-                                             max_steps=6)
+            bounds = predict_step_boundaries(frames, (2, 8), head(seed=seed), max_steps=6)
             assert bounds == sorted(set(bounds))
             assert all(2 < b <= 8 for b in bounds)
             assert bounds[-1] == 8
@@ -145,7 +172,7 @@ class TestStepBoundaries:
     def test_masked_frames_get_zero_probability(self):
         frames = frames_tensor(10, seed=3)
         state = StepBoundaryState(span=(2, 8), n_frames=10, boundaries=[4])
-        probs = step_distribution(frames, state, head(seed=4), marker())
+        probs = step_distribution(frames, state, head(seed=4))
         mask = state.frame_mask()
         assert (probs.data[mask] == 0.0).all()
         assert abs(probs.data.sum() - 1.0) < 1e-6
@@ -153,16 +180,16 @@ class TestStepBoundaries:
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ValueError):
-            predict_step_boundaries(frames_tensor(8), (5, 12), head(), marker())
+            predict_step_boundaries(frames_tensor(8), (5, 12), head())
 
     def test_max_steps_validated(self):
         with pytest.raises(ValueError, match="max_steps"):
-            predict_step_boundaries(frames_tensor(8), (1, 6), head(), marker(), max_steps=0)
+            predict_step_boundaries(frames_tensor(8), (1, 6), head(), max_steps=0)
 
     def test_max_steps_forces_final_boundary_to_end(self):
         for seed in range(20):
             bounds = predict_step_boundaries(frames_tensor(12, seed=seed), (0, 10),
-                                             head(seed=seed + 7), marker(), max_steps=2)
+                                             head(seed=seed + 7), max_steps=2)
             assert bounds[-1] == 10
             assert len(bounds) <= 2
 
@@ -174,13 +201,52 @@ class TestStepBoundaries:
         with pytest.raises(ValueError):
             state.commit(9)
 
-    def test_marker_injection_touches_only_flagged_rows(self):
-        frames = frames_tensor(6, seed=5)
-        mk = Tensor(rng(6).standard_normal(4).astype(np.float32))
-        out = inject_boundary_markers(frames, mk, [1, 4])
-        np.testing.assert_allclose(out.data[[0, 2, 3, 5]], frames.data[[0, 2, 3, 5]])
-        np.testing.assert_allclose(out.data[1], frames.data[1] + mk.data, atol=1e-6)
-        np.testing.assert_allclose(out.data[4], frames.data[4] + mk.data, atol=1e-6)
+
+class TestAgainstMarkedParent:
+    """The marker-free segmentation head against the marked one it replaces,
+    with a random nonzero marker: ``frame_mask`` hides every row the marker
+    touched, so the probabilities, the gradients and the decoded boundaries
+    are bit-equal, and the marker itself never got a gradient."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_distribution_equals_marked(self, seed):
+        g = rng(80 + seed)
+        n, d = 12, 6
+        span = (int(g.integers(0, 4)), int(g.integers(7, n)))
+        steps = sorted(g.choice(np.arange(span[0] + 1, span[1]), size=3, replace=False).tolist())
+        step_head = LinearLayer.create(g, d, 1)
+        marker = Tensor(g.standard_normal(d).astype(np.float32), requires_grad=True)
+        data = g.standard_normal((n, d)).astype(np.float32)
+        for i in range(len(steps) + 1):
+            state = StepBoundaryState(span=span, n_frames=n, boundaries=steps[:i])
+            upstream = Tensor(g.standard_normal(n).astype(np.float32))
+
+            def run(marked):
+                frames = Tensor(data.copy(), requires_grad=True)
+                for p in (step_head.weight, step_head.bias, marker):
+                    p.grad = None
+                probs = marked_step_distribution(frames, state, step_head, marker) if marked \
+                    else step_distribution(frames, state, step_head)
+                sum_all(probs * upstream).backward()
+                return probs.data, frames.grad, step_head.weight.grad, step_head.bias.grad
+
+            for got, want in zip(run(False), run(True)):
+                assert np.array_equal(got, want)
+            assert marker.grad is None or not marker.grad.any()
+
+    def test_boundaries_equal_marked(self):
+        g = rng(90)
+        for _ in range(200):
+            n, d = int(g.integers(2, 20)), int(g.integers(1, 8))
+            start = int(g.integers(0, n))
+            span = (start, int(g.integers(start, n)))
+            frames = Tensor(g.standard_normal((n, d)).astype(np.float32))
+            step_head = LinearLayer.create(g, d, 1)
+            marker = Tensor(g.standard_normal(d).astype(np.float32))
+            max_steps = int(g.integers(1, 8))
+            with no_grad():
+                assert predict_step_boundaries(frames, span, step_head, max_steps=max_steps) \
+                    == marked_step_boundaries(frames, span, step_head, marker, max_steps)
 
 
 def make_decoder(vocab=12, dim=8, heads=2, layers=1, max_pos=16, seed=0):

@@ -143,11 +143,38 @@ class TestRegistry:
             ["self_attn.wq", "self_attn.wk", "self_attn.wv", "self_attn.wo",
              "cross_attn.wq", "cross_attn.wk", "cross_attn.wv", "cross_attn.wo"]
             + tail + ["ln3.gain", "ln3.bias"]]
+        # Re-recorded when the zero-initialised boundary marker left the
+        # registry: the digest of the other tensors is unchanged, since the
+        # marker drew nothing from the seed's generator.
         digest = hashlib.sha256()
         for t in params.named_parameters().values():
             digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
         assert digest.hexdigest() == \
-            "85eb99fba55e7a6bf712d7895804cc105344581593f6db4148593e7b64769034"
+            "74ef745b103d337ac27f5633370d36d28ad3210a824d4a1bac88bdee4006e570"
+
+    def test_compatibility_names_for_the_benchmark_walk(self):
+        # bench/walk.py passes params.boundary_marker and reads
+        # config.caption_context until ROADMAP item 1b; these four names keep
+        # it running, and go once it stops.
+        config = tiny_config()
+        params = QuagParams(config)
+        assert QuagParams.boundary_marker is None and params.boundary_marker is None
+        assert not any("marker" in name for name in params.named_parameters())
+        assert config.caption_context == "step"
+        assert "caption_context" not in config.to_dict()
+        with pytest.raises(TypeError):
+            ModelConfig(caption_context="moment")
+        with pytest.raises(ValueError, match="caption_context"):
+            ModelConfig.from_dict({"caption_context": "step"})
+        frames = trunk(make_episode(), params)
+        state = StepBoundaryState(span=(1, 4), n_frames=6, boundaries=[2])
+        assert np.array_equal(
+            step_distribution(frames, state, params.step_head, params.boundary_marker).data,
+            step_distribution(frames, state, params.step_head).data)
+        assert predict_step_boundaries(frames, (1, 4), params.step_head,
+                                       params.boundary_marker, config.max_steps) \
+            == predict_step_boundaries(frames, (1, 4), params.step_head,
+                                       max_steps=config.max_steps)
 
 
 def trunk(episode, params):
@@ -193,7 +220,7 @@ class TestForward:
         for i, target in enumerate(episode.steps):
             state = StepBoundaryState(span=episode.moment, n_frames=episode.n_frames,
                                       boundaries=list(episode.steps[:i]))
-            dist = step_distribution(enhanced, state, params.step_head, params.boundary_marker)
+            dist = step_distribution(enhanced, state, params.step_head)
             assert (dist.data[state.frame_mask()] == 0.0).all()
             assert abs(dist.data.sum() - 1.0) < 1e-6
             nll.append(-np.log(dist.data[target]))
@@ -344,9 +371,10 @@ class TestGraphSize:
     516, 505 and 751; the fused attention core (5 nodes per ``mha``) gave 340,
     329 and 465, and a broadcasting ``concat_last`` in QC² 332, 321 and 457.
     One node per layer, ``tensor.attention`` with its projections and
-    ``tensor.affine`` for every linear, gives the pinned ones."""
+    ``tensor.affine`` for every linear, gave 220, 212 and 298; dropping the
+    boundary marker's injection gives the pinned ones."""
 
-    @pytest.mark.parametrize("task,pinned", [("ret", 220), ("seg", 212), ("cap", 298)],
+    @pytest.mark.parametrize("task,pinned", [("ret", 220), ("seg", 209), ("cap", 298)],
                              ids=["ret", "seg", "cap"])
     def test_node_count_is_pinned(self, tiny_corpus, task, pinned):
         params = QuagParams(corpus_config(tiny_corpus))
@@ -401,23 +429,6 @@ class TestPredict:
         b = predict(episode, params)
         assert a == b
 
-    def test_moment_context_decodes_the_moment_once(self, tiny_corpus, monkeypatch):
-        params = QuagParams(corpus_config(tiny_corpus, fusion="joint",
-                                          caption_context="moment"))
-        decode, calls = params.decoder.beam_decode, []
-
-        def recording_decode(memories, max_len, beam_width):
-            calls.append(len(memories))
-            return decode(memories, max_len, beam_width)
-
-        monkeypatch.setattr(params.decoder, "beam_decode", recording_decode)
-        predictions = [predict(episode, params) for episode in tiny_corpus.load_episodes()]
-        assert calls == [1] * len(predictions)
-        several = [p.captions for p in predictions if len(p.captions) > 1]
-        assert several
-        for first, *rest in several:
-            assert all(c == first and c is not first for c in rest)
-
 
 def predict_step_by_step(episode, params):
     """The per-step predict that decoding all captions as rows replaced: one
@@ -427,24 +438,22 @@ def predict_step_by_step(episode, params):
         enhanced, _, _ = encode_trunk(episode, params)
         span = decode_moment(predict_moment_span(enhanced, params.start_head, params.end_head))
         boundaries = predict_step_boundaries(enhanced, span, params.step_head,
-                                             params.boundary_marker, config.max_steps)
-        captions = [decode_step_caption(
-            enhanced, step_span if config.caption_context == "step" else span,
-            params.decoder, config.max_caption_len, beam_width=config.beam_width)
-            for step_span in step_frame_spans(span[0], boundaries)]
+                                             max_steps=config.max_steps)
+        captions = [decode_step_caption(enhanced, step_span, params.decoder,
+                                        config.max_caption_len, beam_width=config.beam_width)
+                    for step_span in step_frame_spans(span[0], boundaries)]
     return PredictionSet(episode.id, span, boundaries, captions)
 
 
 class TestPredictAgainstStepByStep:
     @pytest.mark.parametrize("beam_width", [1, 3])
-    @pytest.mark.parametrize("context", ["step", "moment"])
     @pytest.mark.parametrize("fusion", FUSION_MODES)
-    def test_same_prediction(self, tiny_corpus, fusion, context, beam_width):
+    def test_same_prediction(self, tiny_corpus, fusion, beam_width):
         episodes = tiny_corpus.load_episodes()
         predictions = []
         for seed in (0, 1):
             params = QuagParams(corpus_config(tiny_corpus, fusion=fusion, seed=seed,
-                                              caption_context=context, beam_width=beam_width))
+                                              beam_width=beam_width))
             predicted = [predict(episode, params) for episode in episodes]
             assert predicted == [predict_step_by_step(episode, params) for episode in episodes]
             predictions += predicted

@@ -3,6 +3,7 @@ import json
 import os
 import signal
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ class TestAdamW:
         with pytest.raises(ValueError):
             AdamW({}, lr=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+        ("beta2", 1.0), ("beta2", 2.0), ("beta2", float("nan")),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")),
+        ("weight_decay", -0.01), ("weight_decay", float("nan")), ("lr", float("nan")),
+    ])
+    def test_out_of_range_hyperparameter_rejected_before_any_step(self, field, value):
+        # beta 1 divided by zero at the first step; eps 0 made 0/0 of a zero gradient
+        p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match=field):
+            AdamW({"p": p}, **{"lr": 0.1, field: value})
+
 
 class TestSchedule:
     def test_cycle_order(self):
@@ -168,6 +181,25 @@ class TestRoundRobin:
                 expected = [tuple(ep.id for ep in b) for b in loaders.epoch_batches(task, epoch)]
                 assert sorted(ids for t, ids in seen if t == task) == sorted(expected)
                 assert len(set(expected)) == len(expected) == -(-len(episodes) // batch_size)
+
+    def test_each_step_releases_the_previous_steps_graph(self, tiny_corpus, monkeypatch):
+        config = tiny_config(tiny_corpus, epochs=1)
+        episodes = tiny_corpus.load_episodes()
+        model = QuagParams(config)
+        schedule = TrainSchedule.for_dataset(config, len(episodes))
+        loaders = TaskLoaders(episodes, config.batch_size, config.seed)
+        step, bundles = trainer.train_step, []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in bundles)
+            bundle = step(*args, **kwargs)
+            bundles.append(weakref.ref(bundle))
+            return bundle
+
+        monkeypatch.setattr(trainer, "train_step", tracked)
+        round_robin_epoch(model, loaders, schedule, AdamW.for_model(model), epoch=0,
+                          on_iteration=lambda i, bundle: None)
+        assert len(bundles) == schedule.iterations_per_epoch
 
     def test_frozen_optimizer_leaves_params_bit_identical(self, tiny_corpus):
         config = tiny_config(tiny_corpus, lr=0.0, epochs=1)
@@ -355,17 +387,27 @@ class TestCheckpointFormat:
         (2, 0, lambda arr: arr.astype("<f2"), "unknown dtype tag"),
         (2, -2, lambda arr: np.array([-1], dtype="<i8"), "not a count"),
         (2, -1, lambda arr: np.array([3.0], dtype="<f8"), "not a count"),
+        # a parameter as integers would read back as their float values, a
+        # float32 moment would not resume exactly
+        (2, "proj_visual.weight", lambda arr: arr.astype("<i8"), "has dtype <i8"),
+        (2, "opt.m.proj_visual.weight", lambda arr: arr.astype("<f4"), "has dtype <f4"),
     ])
     def test_malformed_entry_rejected(self, tiny_corpus, tmp_path, version, at, value, match):
         config = tiny_config(tiny_corpus)
         model, optimizer = _trained_state(config)
         entries = _v2_entries(model, optimizer, 1)
+        if isinstance(at, str):
+            at = [name for name, _ in entries].index(at)
         name, arr = entries[at]
         entries[at] = (name, value(arr))
         path = tmp_path / "ckpt.qgck"
         path.write_bytes(_checkpoint_bytes(version, config.digest(), entries))
+        target = QuagParams(config)
+        before = {n: p.data.copy() for n, p in target.named_parameters().items()}
         with pytest.raises(CheckpointError, match=match):
-            load_checkpoint(path, config, QuagParams(config), AdamW.for_model(model))
+            load_checkpoint(path, config, target, AdamW.for_model(model))
+        for n, p in target.named_parameters().items():
+            assert np.array_equal(p.data, before[n]), n
 
     @pytest.mark.parametrize("corrupt,match", [
         (lambda good, digest: good + b"\0", "trailing bytes"),
