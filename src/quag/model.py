@@ -5,9 +5,11 @@ gating stack, the multi-modal encoder, and the task heads into one model with
 a stable named parameter registry. Ablation fusion modes swap the two core
 stacks for the elementwise sum / broadcast product of the baseline fusion.
 
-``encode_trunk`` runs one episode through everything up to the heads.
-``predict`` decodes with it; the teacher-forced training objective, which
-builds the heads of a whole batch, is ``trainer.batch_loss``.
+``encode_trunk`` runs one episode through everything up to the heads, and
+``predict`` decodes with it. ``encode_stacked`` runs the same trunk body once
+for a batch of equal-length episodes stacked along a leading axis; the
+teacher-forced training objective, ``trainer.batch_loss``, builds the heads
+of a whole batch on it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "QuagParams",
     "PredictionSet",
     "encode_trunk",
+    "encode_stacked",
     "predict",
 ]
 
@@ -255,19 +258,41 @@ def encode_trunk(episode: EpisodeRecord, params: QuagParams,
                  ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
     """Project, fuse, gate and encode one episode.
 
-    Returns the enhanced representation plus the pooled visual/audio features
-    (None when the alignment stack is ablated away).
+    Returns the [N, D] enhanced representation plus the [D] pooled
+    visual/audio features (None when the alignment stack is ablated away).
     """
-    config = params.config
-    _check_dims(episode, config)
-    n = episode.n_frames
-    drop = config.dropout
+    _check_dims(episode, params.config)
+    return _trunk(episode.visual, episode.audio, episode.query, params, rng)
 
-    r_v = params.proj_visual(Tensor(episode.visual))
-    r_a = params.proj_audio(Tensor(episode.audio))
-    r_t = params.proj_query(Tensor(episode.query))
+
+def encode_stacked(episodes: Sequence[EpisodeRecord], params: QuagParams,
+                   rng: Optional[np.random.Generator] = None,
+                   ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
+    """``encode_trunk`` of B equal-length episodes as one graph over stacked
+    arrays: [B, N, D] enhanced and [B, D] pooled features. Episode b's values
+    and every parameter gradient equal those of B ``encode_trunk`` calls bit
+    for bit (``tensor``'s leading-axis rule); with dropout, the masks are
+    drawn per layer over the whole stack."""
+    if len({ep.n_frames for ep in episodes}) != 1:
+        raise ShapeError("encode_stacked needs one or more episodes of equal length")
+    for ep in episodes:
+        _check_dims(ep, params.config)
+    return _trunk(np.stack([ep.visual for ep in episodes]),
+                  np.stack([ep.audio for ep in episodes]),
+                  np.stack([ep.query for ep in episodes])[:, None, :], params, rng)
+
+
+def _trunk(visual: np.ndarray, audio: np.ndarray, query: np.ndarray, params: QuagParams,
+           rng: Optional[np.random.Generator],
+           ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
+    """The trunk over one episode's [N, ·] frames and [Dq] query, or over
+    [B, N, ·] frames and [B, 1, Dq] queries."""
+    config = params.config
+    r_v = params.proj_visual(Tensor(visual))
+    r_a = params.proj_audio(Tensor(audio))
+    r_t = params.proj_query(Tensor(query))
     if config.use_positional:
-        pos = slice_rows(params.pos_embed, 0, n)
+        pos = slice_rows(params.pos_embed, 0, r_v.shape[-2], r_v.shape[:-2])
         r_v = r_v + pos
         r_a = r_a + pos
 
@@ -290,7 +315,7 @@ def encode_trunk(episode: EpisodeRecord, params: QuagParams,
     else:
         rep = fused * r_t
 
-    enhanced = encoder_forward(rep, params.encoder, drop, rng)
+    enhanced = encoder_forward(rep, params.encoder, config.dropout, rng)
     return enhanced, pooled_v, pooled_a
 
 

@@ -61,12 +61,12 @@ class MspParams:
 
 
 def global_pool(r_v: Tensor, r_a: Tensor) -> tuple[Tensor, Tensor]:
-    """Mean-pool both streams over the frame dimension."""
-    if r_v.ndim != 2 or r_a.ndim != 2 or r_v.shape[0] != r_a.shape[0]:
+    """Mean-pool both streams over the frame axis: [..., N, D] -> [..., D]."""
+    if r_v.ndim < 2 or r_v.shape[:-1] != r_a.shape[:-1]:
         raise ShapeError(
             f"global_pool expects equal-length streams, got {r_v.shape} vs {r_a.shape}"
         )
-    return mean_axis(r_v, 0), mean_axis(r_a, 0)
+    return mean_axis(r_v, -2), mean_axis(r_a, -2)
 
 
 def _normalize_rows(x: Tensor) -> Tensor:
@@ -100,7 +100,8 @@ def msp_contrastive_loss(batch_v: Tensor, batch_a: Tensor, tau: float,
 
 
 def cross_modal_interact(r_v: Tensor, r_a: Tensor, params: MspParams) -> tuple[Tensor, Tensor]:
-    """Attend each stream over the other, unmasked, one block per direction."""
+    """Attend each stream over the other, unmasked, one block per direction;
+    [..., N, D] streams, each episode of a stacked batch within itself."""
     if r_v.shape != r_a.shape:
         raise ShapeError(f"cross_modal_interact shape mismatch: {r_v.shape} vs {r_a.shape}")
     joint_v = params.attn_v2a(r_v, r_a, r_a)

@@ -63,33 +63,36 @@ class Qc2Params:
 
 @dataclass
 class GatePair:
-    temporal: Tensor  # [N_v x 1]
-    channel: Tensor   # [1 x D]
-    combined: Tensor  # [N_v x D], outer broadcast product
+    temporal: Tensor  # [..., N_v x 1]
+    channel: Tensor   # [..., 1 x D]
+    combined: Tensor  # [..., N_v x D], outer broadcast product
 
 
 def fuse_query_context(fused_av: Tensor, query: Tensor, params: Qc2Params) -> Tensor:
-    """Join the [D] query to every frame (``concat_last`` broadcasts it), project 2D -> D."""
-    dim = fused_av.shape[1]
-    if query.ndim != 1 or query.shape[0] != dim:
+    """Join the query to every frame (``concat_last`` broadcasts it), project
+    2D -> D. The query of an [N, D] stream is [D]; that of a stacked
+    [B, N, D] stream is [B, 1, D], one per episode."""
+    dim = fused_av.shape[-1]
+    if query.shape not in ((dim,), fused_av.shape[:-2] + (1, dim)):
         raise ShapeError(
-            f"query shape {query.shape} does not match stream channel dim {dim}"
+            f"query shape {query.shape} does not fit stream shape {fused_av.shape}"
         )
     return params.fuse(concat_last(fused_av, query))
 
 
 def compute_gates(query_context: Tensor, params: Qc2Params) -> GatePair:
-    """Per-frame and per-channel relevance gates from the fused context.
+    """Per-frame and per-channel relevance gates from the [..., N, D] fused
+    context.
 
     The temporal gate squeezes channels to one scalar per frame and passes it
     through the 1x1 linear; the channel gate squeezes frames to one vector and
     passes it through the DxD linear. Both end in a sigmoid, so every entry of
     the combined outer product lies strictly inside (0, 1).
     """
-    n_frames, dim = query_context.shape
-    temporal_in = reshape(mean_axis(query_context, 1), (n_frames, 1))
+    *lead, n_frames, dim = query_context.shape
+    temporal_in = reshape(mean_axis(query_context, -1), (*lead, n_frames, 1))
     temporal = sigmoid(params.gate_temporal(temporal_in))
-    channel_in = reshape(mean_axis(query_context, 0), (1, dim))
+    channel_in = reshape(mean_axis(query_context, -2), (*lead, 1, dim))
     channel = sigmoid(params.gate_channel(channel_in))
     return GatePair(temporal=temporal, channel=channel, combined=temporal * channel)
 

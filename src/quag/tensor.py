@@ -10,6 +10,17 @@ broadcast as numpy does; backward sums each gradient back to its operand's
 shape. Graph-free decoding runs the ops' numpy forward cores (``softmax_core``,
 ``attention_core``, ...), so no formula is written twice.
 
+Leading-axis rule: ``affine``, ``attention`` and ``layer_norm`` also take a
+leading episode axis B, so a batch of equal-length episodes runs as one
+stacked [B, N, D] graph. They multiply with numpy's stacked matmul, one
+product per episode, and never fold B into the row axis: a row of a wider
+gemm can round differently. Each parameter gradient is the sum of the
+per-episode products, added last episode first (``_accumulate_episodes``):
+the order in which the tape adds B separate per-episode graphs' gradients.
+So the stacked graph's values and gradients equal those graphs' bit for bit.
+``slice_rows`` with ``lead`` repeats a shared slice along B with the same
+backward rule, and ``take_episode`` hands one episode to a per-episode head.
+
 Dtype rule: an op's result has the dtype numpy gives its operands' arrays, and
 a Python scalar or array met by an operator takes the dtype of the tensor it
 meets (``_coerce``). So float32 parameters give float32 activations and
@@ -33,6 +44,7 @@ __all__ = [
     "affine",
     "transpose",
     "reshape",
+    "take_episode",
     "concat_last",
     "stack_rows",
     "slice_rows",
@@ -213,6 +225,28 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _accumulate_episodes(t: Tensor, grad_of: Callable[[int], np.ndarray], count: int,
+                         rows: Optional[slice] = None) -> None:
+    """Add ``grad_of(b)`` into ``t``, or into its ``rows`` only, for
+    b = count - 1 down to 0: the order in which the tape adds the gradients
+    of ``count`` per-episode graphs."""
+    if not t.requires_grad:
+        return
+    if rows is not None and t.grad is None:
+        t.grad = np.zeros(t.shape, dtype=t.data.dtype)
+    for b in range(count - 1, -1, -1):
+        if rows is None:
+            _accumulate(t, grad_of(b))
+        else:
+            t.grad[rows] += grad_of(b)
+
+
+def _stacked(a: np.ndarray) -> np.ndarray:
+    """View an array as [B, N, C]: a rank-1 array is one row of one episode,
+    a rank-2 array one episode."""
+    return a.reshape((-1,) + a.shape[-2:]) if a.ndim > 1 else a.reshape(1, 1, -1)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -286,20 +320,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node, for ``x`` [IN] or [N x IN], ``w`` [IN x OUT]
-    and ``b`` [OUT]. A rank-1 ``x`` is multiplied as a one-row matrix, so it
-    rounds as the [1 x IN] product does."""
-    if x.ndim not in (1, 2) or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+    """``x @ w + b`` as one node, for ``x`` [IN], [N x IN] or [B x N x IN],
+    ``w`` [IN x OUT] and ``b`` [OUT]. A rank-1 ``x`` is multiplied as a
+    one-row matrix, so it rounds as the [1 x IN] product does; a rank-3 ``x``
+    as B stacked products (see the leading-axis rule)."""
+    if not 1 <= x.ndim <= 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
         raise ShapeError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    rows = x.data.reshape(-1, w.shape[0])
+    rows = _stacked(x.data)
     data = rows @ w.data + b.data
 
     def backward(g):
         g = g.reshape(data.shape)
-        _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate_episodes(b, lambda i: g[i].sum(axis=0), len(g))
         if x.requires_grad:
             _accumulate(x, (g @ w.data.T).reshape(x.shape))
-        _accumulate(w, rows.T @ g)
+        _accumulate_episodes(w, lambda i: rows[i].T @ g[i], len(g))
 
     return _node(data.reshape(x.shape[:-1] + b.shape), (x, w, b), backward)
 
@@ -331,6 +367,21 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
     def backward(g):
         _accumulate(x, g.reshape(x.shape))
+
+    return _node(data, (x,), backward)
+
+
+def take_episode(x: Tensor, index: int) -> Tensor:
+    """Entry ``index`` of the leading axis, ``x[index]``, as a copy; backward
+    adds into that entry only."""
+    if x.ndim < 1 or not 0 <= index < x.shape[0]:
+        raise ShapeError(f"take_episode {index} out of range for shape {x.shape}")
+    data = x.data[index].copy()
+
+    def backward(g):
+        if x.grad is None:
+            x.grad = np.zeros(x.shape, dtype=x.data.dtype)
+        x.grad[index] += g
 
     return _node(data, (x,), backward)
 
@@ -378,15 +429,18 @@ def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     return _node(data, vectors, backward)
 
 
-def slice_rows(x: Tensor, lo: int, hi: int) -> Tensor:
+def slice_rows(x: Tensor, lo: int, hi: int, lead: Sequence[int] = ()) -> Tensor:
+    """Rows [lo, hi) of ``x`` as a copy, repeated along the leading axes
+    ``lead`` when given. Backward adds each copy's gradient into those rows,
+    last copy first, as separate slices would (the leading-axis rule)."""
     if not (0 <= lo < hi <= x.shape[0]):
         raise ShapeError(f"slice_rows [{lo}:{hi}] out of range for shape {x.shape}")
-    data = x.data[lo:hi].copy()
+    rows = x.data[lo:hi].copy()
+    data = np.broadcast_to(rows, tuple(lead) + rows.shape) if lead else rows
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros(x.shape, dtype=x.data.dtype)
-        x.grad[lo:hi] += g
+        g = g.reshape((-1,) + rows.shape)
+        _accumulate_episodes(x, lambda b: g[b], len(g), slice(lo, hi))
 
     return _node(data, (x,), backward)
 
@@ -527,6 +581,8 @@ def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Te
     and projected by ``wo`` [D x D']. ``mask``, boolean [Lq x Lk] and shared
     by every head, is True at keys a query must not attend to; those get
     exactly zero weight, and a query row with every key masked is an error.
+    With a leading episode axis, [B x Lq x IN] and [B x Lk x IN], each
+    episode attends within itself (see the leading-axis rule).
 
     The backward is the softmax Jacobian-vector product written out per head
     (dv = wᵀg, ds = (g vᵀ − Σ(g vᵀ ⊙ w)) ⊙ w · scale, dq = ds k, dk = dsᵀ q)
@@ -534,12 +590,13 @@ def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Te
     the keys, then the queries, as the five nodes it replaces did, so an input
     in several roles (self-attention's) gets the same float sums.
     """
-    if (any(x.ndim != 2 or p.shape != (x.shape[1], wq.shape[1])
+    if (any(x.ndim not in (2, 3) or x.shape[:-2] != xq.shape[:-2]
+            or p.shape != (x.shape[-1], wq.shape[1])
             for x, p in ((xq, wq), (xk, wk), (xv, wv)))
-            or xk.shape[0] != xv.shape[0] or wo.ndim != 2 or wo.shape[0] != wq.shape[1]):
+            or xk.shape[-2] != xv.shape[-2] or wo.ndim != 2 or wo.shape[0] != wq.shape[1]):
         raise ShapeError(f"attention inputs {xq.shape}, {xk.shape}, {xv.shape} do not fit "
                          f"weights {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape}")
-    n_q, n_k, dim = xq.shape[0], xk.shape[0], wq.shape[1]
+    n_q, n_k, dim = xq.shape[-2], xk.shape[-2], wq.shape[1]
     if dim % n_heads != 0:
         raise ShapeError(f"attention dim {dim} not divisible by {n_heads} heads")
     if mask is not None:
@@ -548,22 +605,25 @@ def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Te
             raise ShapeError(f"attention mask shape {mask.shape} != ({n_q}, {n_k})")
         if mask.all(axis=-1).any():
             raise ValueError("attention: a query row has every key masked")
-    split = (-1, n_heads, dim // n_heads)
+    rq, rk, rv = _stacked(xq.data), _stacked(xk.data), _stacked(xv.data)
+    split = (len(rq), -1, n_heads, dim // n_heads)
 
     def merge(heads: np.ndarray) -> np.ndarray:
-        return heads.transpose(1, 0, 2).reshape(-1, dim)
+        return heads.transpose(0, 2, 1, 3).reshape(len(heads), -1, dim)
 
     # Contiguous head-major copies: the products then round as the
-    # per-head matmuls of stacked [h, L, D/h] tensors do.
-    qh = np.ascontiguousarray((xq.data @ wq.data).reshape(split).transpose(1, 0, 2))
-    kh = np.ascontiguousarray((xk.data @ wk.data).reshape(split).transpose(1, 2, 0))
-    vh = np.ascontiguousarray((xv.data @ wv.data).reshape(split).transpose(1, 0, 2))
+    # per-head matmuls of stacked [B, h, L, D/h] tensors do.
+    qh = np.ascontiguousarray((rq @ wq.data).reshape(split).transpose(0, 2, 1, 3))
+    kh = np.ascontiguousarray((rk @ wk.data).reshape(split).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray((rv @ wv.data).reshape(split).transpose(0, 2, 1, 3))
     heads, w = attention_core(qh, kh, vh, mask)
     ctx, scale = merge(heads), w.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
+    data = ctx @ wo.data
 
     def backward(g):
-        _accumulate(wo, ctx.T @ g)
-        gh = (g @ wo.data.T).reshape(split).transpose(1, 0, 2)
+        g = g.reshape(data.shape)
+        _accumulate_episodes(wo, lambda i: ctx[i].T @ g[i], len(g))
+        gh = (g @ wo.data.T).reshape(split).transpose(0, 2, 1, 3)
         dv = merge(np.swapaxes(w, -1, -2) @ gh)
         ds = gh @ np.swapaxes(vh, -1, -2)
         ds -= (ds * w).sum(axis=-1, keepdims=True)
@@ -571,12 +631,13 @@ def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Te
         ds *= scale
         dq = merge(ds @ np.swapaxes(kh, -1, -2))
         dk = merge(np.swapaxes(ds, -1, -2) @ qh)
-        for x, p, dp in ((xv, wv, dv), (xk, wk, dk), (xq, wq, dq)):
+        for x, rows, p, dp in ((xv, rv, wv, dv), (xk, rk, wk, dk), (xq, rq, wq, dq)):
             if x.requires_grad:
-                _accumulate(x, dp @ p.data.T)
-            _accumulate(p, x.data.T @ dp)
+                _accumulate(x, (dp @ p.data.T).reshape(x.shape))
+            _accumulate_episodes(p, lambda i: rows[i].T @ dp[i], len(dp))
 
-    return _node(ctx @ wo.data, (xq, xk, xv, wq, wk, wv, wo), backward)
+    return _node(data.reshape(xq.shape[:-1] + wo.shape[1:]), (xq, xk, xv, wq, wk, wv, wo),
+                 backward)
 
 
 def log_softmax_core(x: np.ndarray) -> np.ndarray:
@@ -669,13 +730,16 @@ def layer_norm_core(v: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+    The gain and bias gradients of a [B x N x D] input are summed per
+    episode (see the leading-axis rule)."""
     out, y, inv = layer_norm_core(x.data, gain.data, bias.data, eps)
     n = y.shape[-1]
 
     def backward(g):
-        _accumulate(gain, _unbroadcast(g * y, gain.shape))
-        _accumulate(bias, _unbroadcast(g, bias.shape))
+        g_gain, g_bias = _stacked(g * y), _stacked(g)
+        _accumulate_episodes(gain, lambda i: _unbroadcast(g_gain[i], gain.shape), len(g_gain))
+        _accumulate_episodes(bias, lambda i: _unbroadcast(g_bias[i], bias.shape), len(g_bias))
         gy = g * gain.data
         dx = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / n
                     - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / n))

@@ -23,9 +23,9 @@ from quag.data import BOS, EOS, DatasetManifest, EpisodeRecord, step_frame_spans
 from quag.heads import StepBoundaryState, predict_moment_span, step_distribution
 from quag.losses import (TASKS, LossBundle, NonFiniteLossError, caption_loss, retrieval_loss,
                          segmentation_loss, total_loss)
-from quag.model import ModelConfig, QuagParams, encode_trunk
+from quag.model import ModelConfig, QuagParams, encode_stacked
 from quag.msp import msp_contrastive_loss
-from quag.tensor import Tensor, slice_rows, stack_rows
+from quag.tensor import Tensor, slice_rows, stack_rows, take_episode
 
 __all__ = [
     "AdamW",
@@ -183,17 +183,26 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
                lam: float, rng: Optional[np.random.Generator] = None) -> LossBundle:
     """One round-robin iteration's objective on a batch of episodes.
 
-    Each episode runs through the trunk, then through the task's head with
-    teacher forcing. The batch's pooled features then give the contrastive
-    alignment loss (zero when the fusion mode has no alignment stack), which
-    ``total_loss`` adds to the task loss.
+    The trunk runs once per group of equal-length episodes, on stacked
+    arrays (``encode_stacked``). Each episode then takes its own slice
+    through the task's head with teacher forcing, one decoder graph per
+    caption. The batch's pooled features give the contrastive alignment loss
+    (zero when the fusion mode has no alignment stack), which ``total_loss``
+    adds to the task loss.
+
+    Without dropout, losses and gradients equal those of one
+    ``encode_trunk`` graph per episode bit for bit, as long as each length's
+    episodes follow each other in the batch (a single length always does);
+    interleaved lengths add the groups' parameter gradients in another
+    order. With dropout, the trunk's masks are drawn per layer over a group.
     """
     if not episodes:
         raise ValueError("batch_loss needs at least one episode")
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     config = model.config
-    pooled_v, pooled_a, heads, targets, masks = [], [], [], [], []
+    groups: dict[int, list[EpisodeRecord]] = {}  # by frame count
+    slots = []  # each episode's index in its group
     for ep in episodes:
         if task == "seg" and not ep.steps:
             raise ValueError(f"episode {ep.id} has no step annotations for teacher forcing")
@@ -202,9 +211,13 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
                 f"episode {ep.id}: single-frame moment has no step instances to train on")
         if task == "cap" and not ep.captions:
             raise ValueError(f"episode {ep.id} has no captions for teacher forcing")
-        enhanced, pv, pa = encode_trunk(ep, model, rng)
-        pooled_v.append(pv)
-        pooled_a.append(pa)
+        group = groups.setdefault(ep.n_frames, [])
+        slots.append(len(group))
+        group.append(ep)
+    trunks = {n: encode_stacked(group, model, rng) for n, group in groups.items()}
+    heads, targets, masks = [], [], []
+    for ep, slot in zip(episodes, slots):
+        enhanced = take_episode(trunks[ep.n_frames][0], slot)
         if task == "ret":
             heads.append(predict_moment_span(enhanced, model.start_head, model.end_head))
             targets.append(ep.moment)
@@ -221,10 +234,15 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
                 heads.append(model.decoder.teacher_forced_logits(
                     slice_rows(enhanced, lo, hi + 1), [BOS] + clipped, config.dropout, rng))
                 targets.append(clipped + [EOS])
-    if pooled_v[0] is None:
+    _, pooled_v, pooled_a = trunks[episodes[0].n_frames]
+    if pooled_v is None:
         msp_loss = Tensor(np.float32(0.0))
     else:
-        msp_loss = msp_contrastive_loss(stack_rows(pooled_v), stack_rows(pooled_a), config.tau,
+        if len(trunks) > 1:  # every episode's row, in batch order
+            pooled_v, pooled_a = (
+                stack_rows([take_episode(trunks[ep.n_frames][k], slot)
+                            for ep, slot in zip(episodes, slots)]) for k in (1, 2))
+        msp_loss = msp_contrastive_loss(pooled_v, pooled_a, config.tau,
                                         normalize=config.normalize_contrastive)
     if task == "ret":
         task_l = retrieval_loss(heads, targets)
@@ -476,8 +494,6 @@ def train(config: ModelConfig, manifest: DatasetManifest, out_dir: Path,
     and writes the rest anew, so the log reads as if the run never stopped.
     """
     config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     episodes = manifest.load_episodes()
     schedule = TrainSchedule.for_dataset(config, len(episodes))
     loaders = TaskLoaders(episodes, config.batch_size, config.seed)
@@ -488,6 +504,9 @@ def train(config: ModelConfig, manifest: DatasetManifest, out_dir: Path,
     if resume_from is not None:
         start_epoch = load_checkpoint(resume_from, config, model, optimizer)
 
+    # Only now: a run rejected above leaves no directory behind.
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / "config.json"
     config_path.write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n",
                            encoding="utf-8")

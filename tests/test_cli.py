@@ -134,6 +134,7 @@ def test_adamw_beta_of_one_exits_1(tmp_path, capsys):
     assert main(["train", str(tmp_path / "corpus" / "manifest.json"), str(tmp_path / "run"),
                  "--config", str(config)]) == 1
     assert "beta1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # refused before the run directory is made
 
 
 def test_run_config_with_caption_context_exits_1(tmp_path, capsys):

@@ -15,15 +15,19 @@ from quag.heads import (
     predict_step_boundaries,
     step_distribution,
 )
+from quag.losses import caption_loss, retrieval_loss, segmentation_loss, total_loss
 from quag.model import (
     FUSION_MODES,
     ModelConfig,
     PredictionSet,
     QuagParams,
+    encode_stacked,
     encode_trunk,
     predict,
 )
-from quag.tensor import ComputationTape, ShapeError, grad_check, log_softmax, no_grad, slice_rows
+from quag.msp import msp_contrastive_loss
+from quag.tensor import (ComputationTape, ShapeError, Tensor, grad_check, log_softmax, no_grad,
+                         slice_rows, stack_rows)
 from quag.trainer import batch_loss, train
 
 
@@ -364,6 +368,124 @@ class TestEndToEndGradients:
         assert self.run_check(task, fusion, every=1) < 1e-5
 
 
+def per_episode_batch_loss(episodes, model, task, lam):
+    """``batch_loss`` as it was before the stacked trunk: one ``encode_trunk``
+    graph per episode, its pooled features stacked for the contrastive loss.
+    The reference the stacked trunk is held to."""
+    config = model.config
+    pooled_v, pooled_a, heads_out, targets, masks = [], [], [], [], []
+    for ep in episodes:
+        enhanced, pv, pa = encode_trunk(ep, model)
+        pooled_v.append(pv)
+        pooled_a.append(pa)
+        if task == "ret":
+            heads_out.append(predict_moment_span(enhanced, model.start_head, model.end_head))
+            targets.append(ep.moment)
+        elif task == "seg":
+            for i in range(len(ep.steps)):
+                state = StepBoundaryState(span=ep.moment, n_frames=ep.n_frames,
+                                          boundaries=list(ep.steps[:i]))
+                masks.append(state.frame_mask())
+                heads_out.append(step_distribution(enhanced, state, model.step_head))
+            targets.extend(ep.steps)
+        else:
+            for (lo, hi), caption in zip(step_frame_spans(ep.moment[0], ep.steps), ep.captions):
+                clipped = list(caption[: config.max_caption_len - 1])
+                heads_out.append(model.decoder.teacher_forced_logits(
+                    slice_rows(enhanced, lo, hi + 1), [BOS] + clipped))
+                targets.append(clipped + [EOS])
+    if pooled_v[0] is None:
+        msp_loss = Tensor(np.float32(0.0))
+    else:
+        msp_loss = msp_contrastive_loss(stack_rows(pooled_v), stack_rows(pooled_a), config.tau,
+                                        normalize=config.normalize_contrastive)
+    if task == "ret":
+        task_l = retrieval_loss(heads_out, targets)
+    elif task == "seg":
+        task_l = segmentation_loss(heads_out, targets, masks)
+    else:
+        task_l = caption_loss(heads_out, targets)
+    return total_loss(task, task_l, msp_loss, lam)
+
+
+def loss_and_grads(loss_fn, episodes, config, task):
+    """The total of a fresh model's ``loss_fn`` batch and every parameter
+    gradient, by name (None for a parameter the batch does not reach)."""
+    params = QuagParams(config)
+    total = loss_fn(episodes, params, task, config.lam).total
+    total.backward()
+    return total.data, {name: p.grad for name, p in params.named_parameters().items()}
+
+
+def batch_of_lengths(lengths):
+    """Episodes of the given frame counts, two captioned steps each."""
+    episodes = [make_episode(n_frames=n, seed=s, moment=(1, n - 2), steps=(2, n - 2))
+                for s, n in enumerate(lengths)]
+    for ep in episodes:
+        ep.captions = [[4, 5], [6, 7, 8]]
+    return episodes
+
+
+class TestBatchedTrunk:
+    """``batch_loss`` runs one stacked trunk per group of equal-length
+    episodes; ``per_episode_batch_loss`` runs one per episode."""
+
+    @pytest.mark.parametrize("task", ["ret", "seg", "cap"])
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    @pytest.mark.parametrize("batch", ["tiny-corpus", "mixed-length", "grouped-lengths"])
+    def test_bit_identical_to_one_trunk_per_episode(self, tiny_corpus, batch, fusion, task):
+        if batch == "tiny-corpus":
+            config = corpus_config(tiny_corpus, fusion=fusion)
+            episodes = tiny_corpus.load_episodes()
+        else:
+            config = tiny_config(fusion=fusion)
+            episodes = mixed_length_batch() if batch == "mixed-length" \
+                else batch_of_lengths([5, 5, 7, 7])
+        got_total, got = loss_and_grads(batch_loss, episodes, config, task)
+        want_total, want = loss_and_grads(per_episode_batch_loss, episodes, config, task)
+        assert np.array_equal(got_total, want_total)
+        for name, grad in want.items():
+            if grad is None:
+                assert got[name] is None, name
+            else:
+                assert np.array_equal(got[name], grad), name
+
+    @pytest.mark.parametrize("task", ["ret", "seg", "cap"])
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_interleaved_lengths_reorder_only_the_gradient_sums(self, fusion, task):
+        """With lengths [5, 7, 5, 7] each group adds its episodes' parameter
+        gradients together, so the sums round differently: each gradient stays
+        within 1e-5 of its largest entry (entries that nearly cancel can move
+        further relative to themselves). The loss does not change."""
+        config = tiny_config(fusion=fusion)
+        episodes = batch_of_lengths([5, 7, 5, 7])
+        got_total, got = loss_and_grads(batch_loss, episodes, config, task)
+        want_total, want = loss_and_grads(per_episode_batch_loss, episodes, config, task)
+        assert np.array_equal(got_total, want_total)
+        for name, grad in want.items():
+            if grad is None:
+                assert got[name] is None, name
+            else:
+                np.testing.assert_allclose(got[name], grad, rtol=0,
+                                           atol=1e-5 * np.abs(grad).max(), err_msg=name)
+
+    def test_stacked_trunk_is_each_episodes_trunk(self):
+        params = QuagParams(tiny_config())
+        episodes = batch_of_lengths([6, 6, 6])
+        enhanced, pooled_v, pooled_a = encode_stacked(episodes, params)
+        assert enhanced.shape == (3, 6, 8) and pooled_v.shape == pooled_a.shape == (3, 8)
+        for b, ep in enumerate(episodes):
+            for stacked, alone in zip((enhanced, pooled_v, pooled_a), encode_trunk(ep, params)):
+                np.testing.assert_array_equal(stacked.data[b], alone.data)
+
+    def test_stacked_trunk_needs_equal_lengths(self):
+        params = QuagParams(tiny_config())
+        with pytest.raises(ShapeError, match="equal length"):
+            encode_stacked(batch_of_lengths([5, 7]), params)
+        with pytest.raises(ShapeError, match="equal length"):
+            encode_stacked([], params)
+
+
 class TestGraphSize:
     """Graph nodes, leaves included, of one tiny-corpus batch per task: a
     pure function of the code, unlike a count taken over the batches a timed
@@ -371,10 +493,12 @@ class TestGraphSize:
     516, 505 and 751; the fused attention core (5 nodes per ``mha``) gave 340,
     329 and 465, and a broadcasting ``concat_last`` in QC² 332, 321 and 457.
     One node per layer, ``tensor.attention`` with its projections and
-    ``tensor.affine`` for every linear, gave 220, 212 and 298; dropping the
-    boundary marker's injection gives the pinned ones."""
+    ``tensor.affine`` for every linear, gave 220, 212 and 298, and dropping
+    the boundary marker's injection 220, 209 and 298. One stacked trunk for
+    the batch's four equal-length episodes instead of four gives the pinned
+    ones."""
 
-    @pytest.mark.parametrize("task,pinned", [("ret", 220), ("seg", 209), ("cap", 298)],
+    @pytest.mark.parametrize("task,pinned", [("ret", 120), ("seg", 109), ("cap", 198)],
                              ids=["ret", "seg", "cap"])
     def test_node_count_is_pinned(self, tiny_corpus, task, pinned):
         params = QuagParams(corpus_config(tiny_corpus))
@@ -386,22 +510,22 @@ class TestGraphSize:
 def test_backward_frees_interior_gradients_and_matches_parent_layers(
         tiny_corpus, monkeypatch, task):
     """After one tiny-corpus batch's backward no op node holds a gradient,
-    and every parameter gradient equals, bit for bit, the one the five-node
-    ``mha`` and two-node ``linear`` give."""
+    and every parameter gradient equals, bit for bit, the one that one trunk
+    per episode gives with the five-node ``mha`` and two-node ``linear``."""
     from test_layers import five_node_mha, two_node_linear
 
-    def grads():
+    def grads(loss_fn):
         params = QuagParams(corpus_config(tiny_corpus))
-        total = batch_loss(tiny_corpus.load_episodes(), params, task, params.config.lam).total
+        total = loss_fn(tiny_corpus.load_episodes(), params, task, params.config.lam).total
         total.backward()
         return ComputationTape.trace(total).nodes, params.named_parameters()
 
-    nodes, got = grads()
+    nodes, got = grads(batch_loss)
     assert all(n.grad is None for n in nodes if n._backward is not None)
     monkeypatch.setattr(layers, "mha", five_node_mha)
     monkeypatch.setattr(layers, "linear", two_node_linear)
     monkeypatch.setattr(heads, "linear", two_node_linear)
-    parent_nodes, want = grads()
+    parent_nodes, want = grads(per_episode_batch_loss)
     assert len(parent_nodes) > len(nodes)
     for name, p in got.items():
         if want[name].grad is None:

@@ -46,6 +46,17 @@ class TestGlobalPool:
             global_pool(Tensor(np.zeros((3, 2), dtype=np.float32)),
                         Tensor(np.zeros((4, 2), dtype=np.float32)))
 
+    def test_stacked_episodes_pool_as_each_alone(self):
+        r_v, r_a = (rng(s).standard_normal((3, 5, 4)).astype(np.float32) for s in (3, 4))
+        pooled_v, pooled_a = global_pool(Tensor(r_v), Tensor(r_a))
+        assert pooled_v.shape == pooled_a.shape == (3, 4)
+        for b in range(3):
+            alone_v, alone_a = global_pool(Tensor(r_v[b]), Tensor(r_a[b]))
+            np.testing.assert_array_equal(pooled_v.data[b], alone_v.data)
+            np.testing.assert_array_equal(pooled_a.data[b], alone_a.data)
+        with pytest.raises(ShapeError):
+            global_pool(Tensor(r_v), Tensor(r_a[:2]))
+
 
 class TestContrastiveLoss:
     def test_single_pair_is_zero(self):

@@ -55,6 +55,18 @@ class TestFuseQueryContext:
         with pytest.raises(ShapeError):
             fuse_query_context(Tensor(np.zeros((4, 3), dtype=np.float32)),
                                Tensor(np.zeros(5, dtype=np.float32)), params)
+        with pytest.raises(ShapeError):  # a stacked stream takes one [1, D] query per episode
+            fuse_query_context(Tensor(np.zeros((2, 4, 3), dtype=np.float32)),
+                               Tensor(np.zeros((2, 3), dtype=np.float32)), params)
+
+    def test_stacked_episodes_fuse_as_each_alone(self):
+        params = make_params(dim=3, heads=1, seed=16)
+        stream = rng(17).standard_normal((2, 4, 3)).astype(np.float32)
+        query = rng(18).standard_normal((2, 1, 3)).astype(np.float32)
+        out = fuse_query_context(Tensor(stream), Tensor(query), params)
+        for b in range(2):
+            alone = fuse_query_context(Tensor(stream[b]), Tensor(query[b, 0]), params)
+            np.testing.assert_array_equal(out.data[b], alone.data)
 
     def test_gradient(self):
         params = make_params(dim=4, heads=2, seed=6)
@@ -109,6 +121,17 @@ class TestComputeGates:
         gates = compute_gates(context, params)
         outer = gates.temporal.data @ gates.channel.data
         np.testing.assert_allclose(gates.combined.data, outer, atol=1e-6)
+
+    def test_stacked_episodes_gate_as_each_alone(self):
+        params = make_params(dim=4, heads=2, seed=19)
+        context = rng(20).standard_normal((3, 5, 4)).astype(np.float32)
+        gates = compute_gates(Tensor(context), params)
+        assert gates.temporal.shape == (3, 5, 1) and gates.channel.shape == (3, 1, 4)
+        for b in range(3):
+            alone = compute_gates(Tensor(context[b]), params)
+            for stacked, single in zip((gates.temporal, gates.channel, gates.combined),
+                                       (alone.temporal, alone.channel, alone.combined)):
+                np.testing.assert_array_equal(stacked.data[b], single.data)
 
     def test_temporal_gate_monotone_in_frame_mean(self):
         params = make_params(dim=4, heads=2, seed=14)

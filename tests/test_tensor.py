@@ -32,6 +32,7 @@ from quag.tensor import (
     softmax_core,
     stack_rows,
     sum_all,
+    take_episode,
     transpose,
 )
 
@@ -616,10 +617,131 @@ class TestAffine:
         assert x.grad is None
 
     @pytest.mark.parametrize("x,w,b", [((2, 5), (4, 3), (3,)), ((2, 4), (4, 3), (2,)),
-                                       ((2, 2, 4), (4, 3), (3,)), ((4,), (4,), (1,))])
+                                       ((2, 2, 2, 4), (4, 3), (3,)), ((4,), (4,), (1,))])
     def test_shape_errors(self, x, w, b):
         with pytest.raises(ShapeError):
             T.affine(Tensor(rand(x)), Tensor(rand(w)), Tensor(rand(b)))
+
+
+class TestLeadingEpisodeAxis:
+    """A [B x N x ·] input is B episodes in one node: values and gradients
+    equal B rank-2 calls bit for bit, each parameter gradient being the
+    per-episode gradients added last episode first."""
+
+    B, N, D = 3, 5, 8
+
+    @staticmethod
+    def leaves(*arrays):
+        return [Tensor(a, requires_grad=True) for a in arrays]
+
+    def per_episode(self, op, stacked_inputs, params, seed):
+        """Run ``op`` on the stack and on each episode alone (backward from
+        the last episode to the first, with copies of ``params``), and
+        require equal outputs, input gradients and parameter gradients."""
+        stacked_params = self.leaves(*params)
+        xs = self.leaves(*stacked_inputs)
+        out = op(*xs, *stacked_params)
+        upstream = rand(out.shape, seed=seed).astype(out.data.dtype)
+        out.backward(upstream)
+        alone_params = self.leaves(*params)
+        alone_xs = [self.leaves(*(x[b] for x in stacked_inputs)) for b in range(self.B)]
+        outs = [op(*alone_xs[b], *alone_params) for b in range(self.B)]
+        for b in range(self.B - 1, -1, -1):
+            outs[b].backward(upstream[b])
+        for b in range(self.B):
+            np.testing.assert_array_equal(out.data[b], outs[b].data)
+            for x, x_b in zip(xs, alone_xs[b]):
+                np.testing.assert_array_equal(x.grad[b], x_b.grad)
+        for p, p_alone in zip(stacked_params, alone_params):
+            np.testing.assert_array_equal(p.grad, p_alone.grad)
+
+    @pytest.mark.parametrize("rows", [1, 5], ids=["query-row", "frames"])
+    def test_affine_equals_per_episode_calls(self, rows):
+        x = rand((self.B, rows, 6), seed=90)
+        self.per_episode(T.affine, [x], [rand((6, self.D), seed=91), rand(self.D, seed=92)], 93)
+
+    @pytest.mark.parametrize("mask_kind", ["none", "causal"])
+    def test_self_attention_equals_per_episode_calls(self, mask_kind):
+        mask = key_masks(self.N, self.N)[mask_kind]
+        weights = [rand((self.D, self.D), seed=s) / math.sqrt(self.D) for s in range(94, 98)]
+        self.per_episode(lambda x, *ws: attention(x, x, x, *ws, 2, mask),
+                         [rand((self.B, self.N, self.D), seed=98)], weights, 99)
+
+    def test_cross_attention_equals_per_episode_calls(self):
+        weights = [rand((self.D, self.D), seed=s) / math.sqrt(self.D) for s in range(100, 104)]
+        self.per_episode(lambda q, kv, *ws: attention(q, kv, kv, *ws, 4),
+                         [rand((self.B, 2, self.D), seed=104),
+                          rand((self.B, self.N, self.D), seed=105)], weights, 106)
+
+    def test_layer_norm_equals_per_episode_calls(self):
+        self.per_episode(layer_norm, [rand((self.B, self.N, self.D), seed=107)],
+                         [rand(self.D, seed=108), rand(self.D, seed=109)], 110)
+
+    def test_repeated_slice_equals_separate_slices(self):
+        """``slice_rows`` with ``lead``, as the trunk adds positions to
+        every episode: the table's gradient is the B slices' gradients, added
+        last episode first."""
+        table = Tensor(rand((7, self.D), seed=111), requires_grad=True)
+        upstream = rand((self.B, self.N, self.D), seed=112)
+        out = slice_rows(table, 0, self.N, (self.B,))
+        assert out.shape == (self.B, self.N, self.D)
+        out.backward(upstream)
+        alone = Tensor(table.data.copy(), requires_grad=True)
+        slices = [slice_rows(alone, 0, self.N) for _ in range(self.B)]
+        for b in range(self.B - 1, -1, -1):
+            np.testing.assert_array_equal(out.data[b], slices[b].data)
+            slices[b].backward(upstream[b])
+        np.testing.assert_array_equal(table.grad, alone.grad)
+
+    @pytest.mark.parametrize("op", ["affine", "attention", "layer_norm"])
+    def test_gradient(self, op):
+        g = np.random.default_rng(113)
+        x = Tensor(g.standard_normal((2, 3, 4)), requires_grad=True)
+        params = [Tensor(g.standard_normal(shape) / 2, requires_grad=True)
+                  for shape in {"affine": [(4, 4), (4,)], "attention": [(4, 4)] * 4,
+                                "layer_norm": [(4,), (4,)]}[op]]
+        probe = Tensor(g.standard_normal((2, 3, 4)))
+        layer = {"affine": T.affine, "layer_norm": layer_norm,
+                 "attention": lambda h, *ws: attention(h, h, h, *ws, 2,
+                                                       key_masks(3, 3)["causal"])}[op]
+        err = grad_check(lambda: sum_all(layer(x, *params) * probe), [x] + params, h=1e-4)
+        assert err < 1e-6
+
+    def test_repeated_slice_and_take_gradients(self):
+        table = Tensor(rand((6, 3), seed=114).astype(np.float64), requires_grad=True)
+        x = Tensor(rand((4, 5, 3), seed=115).astype(np.float64), requires_grad=True)
+        probes = [Tensor(rand((5, 3), seed=116 + i).astype(np.float64)) for i in range(4)]
+
+        def f():
+            stacked = x * slice_rows(table, 1, 6, (4,))
+            return sum_all(take_episode(stacked, 2) * probes[0]) \
+                + sum_all(take_episode(stacked, 0) * probes[1]) \
+                + sum_all(take_episode(stacked, 2) * probes[2])
+
+        assert grad_check(f, [table, x], h=1e-3) < 1e-6
+        f().backward()
+        assert not x.grad[[1, 3]].any()
+
+    def test_take_episode_values_and_errors(self):
+        x = Tensor(rand((3, 4, 2), seed=120))
+        out = take_episode(x, 1)
+        np.testing.assert_array_equal(out.data, x.data[1])
+        assert not np.shares_memory(out.data, x.data)
+        for index in (-1, 3):
+            with pytest.raises(ShapeError):
+                take_episode(x, index)
+        with pytest.raises(ShapeError):
+            take_episode(Tensor(np.float32(1.0)), 0)
+
+    def test_shape_errors(self):
+        x = Tensor(rand((2, 3, 4), seed=121))
+        ws = [Tensor(rand((4, 4), seed=s)) for s in range(122, 126)]
+        with pytest.raises(ShapeError):  # keys from another batch size
+            attention(x, Tensor(rand((3, 3, 4))), Tensor(rand((3, 3, 4))), *ws, 2)
+        with pytest.raises(ShapeError):  # rank-2 keys for rank-3 queries
+            attention(x, Tensor(rand((3, 4))), Tensor(rand((3, 4))), *ws, 2)
+        with pytest.raises(ShapeError):
+            attention(Tensor(rand((1, 2, 3, 4))), *[Tensor(rand((1, 2, 3, 4)))] * 2, *ws, 2)
 
 
 class TestRepeatedBackward:

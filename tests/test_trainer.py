@@ -436,7 +436,7 @@ class TestCheckpointFormat:
             raw = bytes(raw)
         path.write_bytes(raw)
         model = QuagParams(config)
-        try:  # load_checkpoint parses with _read_checkpoint, then validates
+        try:  # _index_checkpoint's header pass, then load_checkpoint's checks and reads
             load_checkpoint(path, config, model, AdamW.for_model(model))
         except CheckpointError:
             pass
@@ -508,7 +508,15 @@ class TestTrainEntryPoint:
             )
 
     def test_resume_matches_uninterrupted_run(self, tiny_corpus, tmp_path):
-        config = tiny_config(tiny_corpus, epochs=4)
+        self.check_resume(tiny_config(tiny_corpus, epochs=4), tiny_corpus, tmp_path)
+
+    def test_resume_with_dropout_matches_uninterrupted_run(self, tiny_corpus, tmp_path):
+        """Dropout masks come from a stream seeded per epoch, drawn over the
+        stacked trunk and then the heads, so a resumed run draws them alike."""
+        self.check_resume(tiny_config(tiny_corpus, epochs=4, dropout=0.1), tiny_corpus, tmp_path)
+
+    @staticmethod
+    def check_resume(config, tiny_corpus, tmp_path):
         full = train(config, tiny_corpus, tmp_path / "full")
 
         half_config = config.replace(epochs=2)
