@@ -1,6 +1,8 @@
 """Task heads over the encoder-enhanced frame representation.
 
-Moment retrieval predicts start/end simultaneously over unmasked frames.
+The start, end and step heads are bare [D, 1] weights: each feeds a softmax
+over frames, which ignores a shift shared by every frame, so a bias could not
+learn. Moment retrieval predicts start/end simultaneously over unmasked frames.
 Moment segmentation predicts one boundary at a time: frames outside the
 moment or at/before the last committed boundary are masked out, and
 generation stops when a boundary reaches the span end. The step logits of a
@@ -28,13 +30,14 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from quag.data import BOS, EOS
-from quag.layers import LinearLayer, TransformerBlock, linear, xavier_uniform
+from quag.layers import LinearLayer, TransformerBlock, xavier_uniform
 from quag.tensor import (
     ShapeError,
     Tensor,
     embed_rows,
     log_softmax_core,
     masked_softmax,
+    matmul,
     reshape,
     slice_rows,
     softmax_core,
@@ -59,14 +62,14 @@ class SpanDistribution:
     p_end: Tensor    # [N_v]
 
 
-def predict_moment_span(frames: Tensor, start_head: LinearLayer,
-                        end_head: LinearLayer) -> SpanDistribution:
-    """Softmax distributions over frames from two independent linear heads."""
+def predict_moment_span(frames: Tensor, start_head: Tensor,
+                        end_head: Tensor) -> SpanDistribution:
+    """Softmax distributions over frames from two independent [D, 1] heads."""
     n = frames.shape[0]
     if n < 2:
         raise ShapeError(f"moment span prediction needs >= 2 frames, got {n}")
-    p_start = masked_softmax(reshape(linear(frames, start_head), (n,)))
-    p_end = masked_softmax(reshape(linear(frames, end_head), (n,)))
+    p_start = masked_softmax(reshape(matmul(frames, start_head), (n,)))
+    p_end = masked_softmax(reshape(matmul(frames, end_head), (n,)))
     return SpanDistribution(p_start=p_start, p_end=p_end)
 
 
@@ -126,15 +129,15 @@ class StepBoundaryState:
         self.boundaries.append(boundary)
 
 
-def step_distribution(frames: Tensor, state: StepBoundaryState, step_head: LinearLayer,
+def step_distribution(frames: Tensor, state: StepBoundaryState, step_head: Tensor,
                       marker: object = None,  # ignored: for bench/walk.py until ROADMAP 1b
                       ) -> Tensor:
     """Masked softmax over frames for the next step boundary."""
-    logits = reshape(linear(frames, step_head), (frames.shape[0],))
+    logits = reshape(matmul(frames, step_head), (frames.shape[0],))
     return masked_softmax(logits, state.frame_mask())
 
 
-def predict_step_boundaries(frames: Tensor, span: tuple[int, int], step_head: LinearLayer,
+def predict_step_boundaries(frames: Tensor, span: tuple[int, int], step_head: Tensor,
                             marker: object = None,  # ignored: for bench/walk.py until ROADMAP 1b
                             max_steps: int = 16) -> list[int]:
     """Greedy autoregressive segmentation of the span into step boundaries.
@@ -148,7 +151,7 @@ def predict_step_boundaries(frames: Tensor, span: tuple[int, int], step_head: Li
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     state = StepBoundaryState(span=span, n_frames=frames.shape[0])
-    logits = linear(frames, step_head).data.reshape(-1)
+    logits = (frames.data @ step_head.data).reshape(-1)
     end = span[1]
     for _ in range(max_steps):
         if state.last_boundary == end:
@@ -220,7 +223,7 @@ class CaptionDecoder:
         x = embed_rows(self.embed, ids) + slice_rows(self.pos, 0, len(ids))
         for block in self.blocks:
             x = block(x, memory, drop_rate=drop_rate, rng=rng)
-        return linear(x, self.out)
+        return self.out(x)
 
     def greedy_decode(self, memories: Sequence[Tensor], max_len: int) -> list[list[int]]:
         """Greedy decode from BOS, one caption per memory, as the rows of one

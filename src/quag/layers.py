@@ -37,7 +37,6 @@ __all__ = [
     "LinearLayer",
     "MultiHeadAttention",
     "TransformerBlock",
-    "linear",
     "mha",
     "encoder_forward",
     "xavier_uniform",
@@ -82,16 +81,11 @@ class LinearLayer:
         return self.weight.shape[1]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self)
+        return affine(x, self.weight, self.bias)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.weight", self.weight
         yield f"{prefix}.bias", self.bias
-
-
-def linear(x: Tensor, layer: LinearLayer) -> Tensor:
-    """Apply an affine layer to a rank-1 or rank-2 input: one ``tensor.affine`` node."""
-    return affine(x, layer.weight, layer.bias)
 
 
 class MultiHeadAttention:

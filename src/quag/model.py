@@ -126,16 +126,17 @@ class ModelConfig:
         return cls(**doc)
 
     def digest(self) -> str:
-        """SHA-256 of the canonical config, leaving out ``epochs``.
+        """SHA-256 of the canonical config less ``epochs``, ``beam_width``, ``max_steps``.
 
         A checkpoint only loads into a config with the same digest. ``epochs``
         only sets how long the loop runs: batch order, dropout streams and
         AdamW steps are seeded by (seed, epoch, task), so epoch k does the
         same work whatever the total, and a checkpoint may resume into a
-        longer run. Every other field changes what a run computes.
-        """
+        longer run. Only ``predict`` reads the other two; every other field
+        changes what training computes."""
         doc = self.to_dict()
-        del doc["epochs"]
+        for name in ("epochs", "beam_width", "max_steps"):
+            del doc[name]
         canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -166,7 +167,8 @@ class ModelConfig:
 
 
 class QuagParams:
-    """Every trainable tensor of the model, reachable by a stable name."""
+    """Every trainable tensor of the model, reachable by a stable name: a fusion
+    mode holds None for each core stack it does not run, so every tensor it registers can learn."""
 
     boundary_marker = None  # no parameter: for bench/walk.py until ROADMAP 1b
 
@@ -179,13 +181,16 @@ class QuagParams:
         self.proj_audio = LinearLayer.create(rng, config.audio_dim, d)
         self.proj_query = LinearLayer.create(rng, config.query_dim, d)
         self.pos_embed = Tensor(xavier_uniform(rng, config.max_frames, d), requires_grad=True)
-        self.msp = MspParams.create(rng, d, config.n_heads)
-        self.qc2 = Qc2Params.create(rng, d, config.n_heads)
+        # Every mode draws both stacks, so all four start from the same encoder,
+        # head and decoder weights: that is what makes the ablation controlled.
+        msp = MspParams.create(rng, d, config.n_heads)
+        qc2 = Qc2Params.create(rng, d, config.n_heads)
+        self.msp: Optional[MspParams] = msp if config.fusion in ("quag", "msp-only") else None
+        self.qc2: Optional[Qc2Params] = qc2 if config.fusion in ("quag", "qc2-only") else None
         self.encoder = [TransformerBlock.create(rng, d, config.n_heads, config.ffn_dim)
                         for _ in range(config.encoder_layers)]
-        self.start_head = LinearLayer.create(rng, d, 1)
-        self.end_head = LinearLayer.create(rng, d, 1)
-        self.step_head = LinearLayer.create(rng, d, 1)
+        self.start_head, self.end_head, self.step_head = (
+            Tensor(xavier_uniform(rng, d, 1), requires_grad=True) for _ in range(3))
         self.decoder = CaptionDecoder.create(
             rng, config.vocab_size, d, config.n_heads, config.decoder_layers,
             config.max_caption_len + 1, config.ffn_dim,
@@ -196,13 +201,14 @@ class QuagParams:
         yield from self.proj_audio.named_params("proj_audio")
         yield from self.proj_query.named_params("proj_query")
         yield "pos_embed", self.pos_embed
-        yield from self.msp.named_params("msp")
-        yield from self.qc2.named_params("qc2")
+        for prefix, stack in (("msp", self.msp), ("qc2", self.qc2)):
+            if stack is not None:
+                yield from stack.named_params(prefix)
         for i, block in enumerate(self.encoder):
             yield from block.named_params(f"encoder.{i}")
-        yield from self.start_head.named_params("heads.start")
-        yield from self.end_head.named_params("heads.end")
-        yield from self.step_head.named_params("heads.step")
+        yield "heads.start.weight", self.start_head
+        yield "heads.end.weight", self.end_head
+        yield "heads.step.weight", self.step_head
         yield from self.decoder.named_params("decoder")
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -296,18 +302,15 @@ def _trunk(visual: np.ndarray, audio: np.ndarray, query: np.ndarray, params: Qua
         r_v = r_v + pos
         r_a = r_a + pos
 
-    msp_on = config.fusion in ("quag", "msp-only")
-    qc2_on = config.fusion in ("quag", "qc2-only")
-
     pooled_v = pooled_a = None
-    if msp_on:
+    if params.msp is not None:
         pooled_v, pooled_a = global_pool(r_v, r_a)
         joint_v, joint_a = cross_modal_interact(r_v, r_a, params.msp)
         fused = fuse_audio_visual(joint_v, joint_a, params.msp)
     else:
         fused = r_v + r_a
 
-    if qc2_on:
+    if params.qc2 is not None:
         context = fuse_query_context(fused, r_t, params.qc2)
         gates = compute_gates(context, params.qc2)
         filtered = apply_filtration(fused, gates)

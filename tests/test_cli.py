@@ -42,6 +42,28 @@ def test_gen_train_predict_end_to_end(tmp_path, capsys):
     assert (tmp_path / "resumed" / "metrics.jsonl").read_text() == ""
 
 
+def test_predict_decodes_at_an_edited_beam_width(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(asdict(TINY_SPEC)))
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
+    assert main(["gen", str(corpus), "--spec", str(spec)]) == 0
+    manifest_path = str(corpus / "manifest.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1}))
+    assert main(["train", manifest_path, str(run), "--config", str(config)]) == 0
+    saved = json.loads((run / "config.json").read_text())
+    (run / "config.json").write_text(json.dumps({**saved, "beam_width": 3}))
+    capsys.readouterr()
+    assert main(["predict", manifest_path, str(run)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    wide = ModelConfig.from_dict({**saved, "beam_width": 3})
+    model = load_params_for_eval(run / "checkpoint.qgck", wide)
+    episodes = load_manifest(manifest_path).load_episodes()
+    assert [json.loads(line)["captions"] for line in out.out.splitlines()] == \
+        [predict(episode, model).captions for episode in episodes]
+
+
 def test_resume_accepts_an_int_written_for_a_float_field(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(asdict(TINY_SPEC)))

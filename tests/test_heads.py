@@ -14,7 +14,7 @@ from quag.heads import (
     step_distribution,
 )
 from quag import tensor
-from quag.layers import LinearLayer, linear
+from quag.layers import LinearLayer, xavier_uniform
 from quag.tensor import (ShapeError, Tensor, attention_core, embed_rows, gelu, masked_softmax,
                          no_grad, reshape, slice_rows, sum_all)
 
@@ -28,23 +28,36 @@ def frames_tensor(n=8, d=4, seed=0):
 
 
 def head(d=4, seed=1):
-    return LinearLayer.create(rng(seed), d, 1)
+    """A [d, 1] task head, drawn as the model draws one."""
+    return Tensor(xavier_uniform(rng(seed), d, 1), requires_grad=True)
 
 
-def marked_step_distribution(frames, state, step_head, marker):
-    """``step_distribution`` as it was with the learned boundary marker: the
-    marker vector added at the rows of the committed boundaries, each of which
-    ``frame_mask`` then hides. Kept as the reference the marker-free head must
-    equal bit for bit."""
+def biased_logits(frames, layer):
+    """A task head's [N] frame logits as they were while each head was a
+    ``LinearLayer`` [D -> 1] with a bias; kept as the reference the
+    weight-only heads are held to."""
+    return reshape(layer(frames), (frames.shape[0],))
+
+
+def biased_moment_span(frames, start_layer, end_layer):
+    """``predict_moment_span`` over biased heads."""
+    return SpanDistribution(p_start=masked_softmax(biased_logits(frames, start_layer)),
+                            p_end=masked_softmax(biased_logits(frames, end_layer)))
+
+
+def marked_step_distribution(frames, state, step_layer, marker):
+    """``step_distribution`` as it was with the learned boundary marker (and
+    a biased head): the marker vector added at the rows of the committed
+    boundaries, each of which ``frame_mask`` then hides. Kept as the
+    reference the marker-free head must equal bit for bit."""
     if state.boundaries:
         flags = np.zeros((frames.shape[0], 1), dtype=np.float32)
         flags[state.boundaries] = 1.0
         frames = frames + Tensor(flags) * marker
-    logits = reshape(linear(frames, step_head), (frames.shape[0],))
-    return masked_softmax(logits, state.frame_mask())
+    return masked_softmax(biased_logits(frames, step_layer), state.frame_mask())
 
 
-def marked_step_boundaries(frames, span, step_head, marker, max_steps):
+def marked_step_boundaries(frames, span, step_layer, marker, max_steps):
     """``predict_step_boundaries`` as it was: one marked
     ``step_distribution`` per boundary."""
     state = StepBoundaryState(span=span, n_frames=frames.shape[0])
@@ -52,7 +65,7 @@ def marked_step_boundaries(frames, span, step_head, marker, max_steps):
     for _ in range(max_steps):
         if state.last_boundary == end:
             break
-        probs = marked_step_distribution(frames, state, step_head, marker)
+        probs = marked_step_distribution(frames, state, step_layer, marker)
         state.commit(int(np.argmax(probs.data)))
     bounds = state.boundaries
     if not bounds or bounds[-1] != end:
@@ -65,9 +78,8 @@ def marked_step_boundaries(frames, span, step_head, marker, max_steps):
 
 class TestMomentSpan:
     def test_zero_heads_give_uniform(self):
-        layer = LinearLayer(Tensor(np.zeros((4, 1), dtype=np.float32)),
-                            Tensor(np.zeros(1, dtype=np.float32)))
-        dist = predict_moment_span(frames_tensor(6), layer, layer)
+        zero = Tensor(np.zeros((4, 1), dtype=np.float32))
+        dist = predict_moment_span(frames_tensor(6), zero, zero)
         np.testing.assert_allclose(dist.p_start.data, np.full(6, 1 / 6), atol=1e-6)
         np.testing.assert_allclose(dist.p_end.data, np.full(6, 1 / 6), atol=1e-6)
 
@@ -204,9 +216,10 @@ class TestStepBoundaries:
 
 class TestAgainstMarkedParent:
     """The marker-free segmentation head against the marked one it replaces,
-    with a random nonzero marker: ``frame_mask`` hides every row the marker
-    touched, so the probabilities, the gradients and the decoded boundaries
-    are bit-equal, and the marker itself never got a gradient."""
+    with a random nonzero marker (and the biased head's zero bias):
+    ``frame_mask`` hides every row the marker touched, so the probabilities,
+    the gradients and the decoded boundaries are bit-equal, and the marker
+    itself never got a gradient."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_step_distribution_equals_marked(self, seed):
@@ -214,7 +227,7 @@ class TestAgainstMarkedParent:
         n, d = 12, 6
         span = (int(g.integers(0, 4)), int(g.integers(7, n)))
         steps = sorted(g.choice(np.arange(span[0] + 1, span[1]), size=3, replace=False).tolist())
-        step_head = LinearLayer.create(g, d, 1)
+        step_layer = LinearLayer.create(g, d, 1)
         marker = Tensor(g.standard_normal(d).astype(np.float32), requires_grad=True)
         data = g.standard_normal((n, d)).astype(np.float32)
         for i in range(len(steps) + 1):
@@ -223,12 +236,12 @@ class TestAgainstMarkedParent:
 
             def run(marked):
                 frames = Tensor(data.copy(), requires_grad=True)
-                for p in (step_head.weight, step_head.bias, marker):
+                for p in (step_layer.weight, marker):
                     p.grad = None
-                probs = marked_step_distribution(frames, state, step_head, marker) if marked \
-                    else step_distribution(frames, state, step_head)
+                probs = marked_step_distribution(frames, state, step_layer, marker) if marked \
+                    else step_distribution(frames, state, step_layer.weight)
                 sum_all(probs * upstream).backward()
-                return probs.data, frames.grad, step_head.weight.grad, step_head.bias.grad
+                return probs.data, frames.grad, step_layer.weight.grad
 
             for got, want in zip(run(False), run(True)):
                 assert np.array_equal(got, want)
@@ -241,12 +254,75 @@ class TestAgainstMarkedParent:
             start = int(g.integers(0, n))
             span = (start, int(g.integers(start, n)))
             frames = Tensor(g.standard_normal((n, d)).astype(np.float32))
-            step_head = LinearLayer.create(g, d, 1)
+            step_layer = LinearLayer.create(g, d, 1)
             marker = Tensor(g.standard_normal(d).astype(np.float32))
             max_steps = int(g.integers(1, 8))
             with no_grad():
-                assert predict_step_boundaries(frames, span, step_head, max_steps=max_steps) \
-                    == marked_step_boundaries(frames, span, step_head, marker, max_steps)
+                assert predict_step_boundaries(frames, span, step_layer.weight,
+                                               max_steps=max_steps) \
+                    == marked_step_boundaries(frames, span, step_layer, marker, max_steps)
+
+
+class TestAgainstBiasedParent:
+    """The weight-only task heads against the biased ``LinearLayer`` heads
+    they replace. Each head feeds a softmax over frames, which ignores a
+    shift shared by every frame. With the zero bias every head was created
+    with, the probabilities, the frame and weight gradients and the decoded
+    boundaries (``TestAgainstMarkedParent``, whose reference head has that
+    bias) are bit-equal. With a random nonzero bias the probabilities agree to
+    float32 rounding, and the bias gets only rounding noise as its gradient:
+    it could not learn."""
+
+    @staticmethod
+    def run(data, state, layers, upstreams, biased):
+        """The start, end and step probabilities, then the frame and weight
+        gradients of a random linear function of them, then the biases'."""
+        frames = Tensor(data.copy(), requires_grad=True)
+        for layer in layers:
+            layer.weight.grad = layer.bias.grad = None
+        start, end, step = layers
+        if biased:
+            span = biased_moment_span(frames, start, end)
+            p_step = masked_softmax(biased_logits(frames, step), state.frame_mask())
+        else:
+            span = predict_moment_span(frames, start.weight, end.weight)
+            p_step = step_distribution(frames, state, step.weight)
+        probs = (span.p_start, span.p_end, p_step)
+        total = probs[0] * upstreams[0] + probs[1] * upstreams[1] + probs[2] * upstreams[2]
+        sum_all(total).backward()
+        return ([p.data for p in probs] + [frames.grad] + [layer.weight.grad for layer in layers],
+                [layer.bias.grad for layer in layers])
+
+    @staticmethod
+    def draw(g):
+        n, d = int(g.integers(2, 65)), int(g.choice([16, 64, 256]))
+        span = (int(g.integers(0, n - 1)), n - 1)
+        state = StepBoundaryState(span=span, n_frames=n)
+        layers = [LinearLayer.create(g, d, 1) for _ in range(3)]
+        upstreams = [Tensor(g.standard_normal(n).astype(np.float32)) for _ in range(3)]
+        return g.standard_normal((n, d)).astype(np.float32), state, layers, upstreams
+
+    def test_zero_bias_is_bit_equal(self):
+        g = rng(100)
+        for _ in range(100):
+            data, state, layers, upstreams = self.draw(g)
+            got, _ = self.run(data, state, layers, upstreams, biased=False)
+            want, _ = self.run(data, state, layers, upstreams, biased=True)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_nonzero_bias_is_ignored_up_to_rounding(self):
+        g = rng(101)
+        for _ in range(100):
+            data, state, layers, upstreams = self.draw(g)
+            got, _ = self.run(data, state, layers, upstreams, biased=False)
+            for layer in layers:
+                layer.bias.data[:] = g.uniform(-1.0, 1.0)
+            want, bias_grads = self.run(data, state, layers, upstreams, biased=True)
+            for a, b in zip(got[:3], want[:3]):
+                np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-7)
+            for layer, bias_grad in zip(layers, bias_grads):
+                assert np.abs(bias_grad).max() <= 1e-6 * np.linalg.norm(layer.weight.grad)
 
 
 def make_decoder(vocab=12, dim=8, heads=2, layers=1, max_pos=16, seed=0):
@@ -535,7 +611,7 @@ def graph_step(state, tokens):
                                                       state.mask))
             x = block._sublayer(2, h, block.ffn_out(gelu(block.ffn_in(h))))
             caches.append((keys, values, mem_k, mem_v))
-        return linear(x, dec.out), caches
+        return dec.out(x), caches
 
 
 def random_vectors(decoder, seed):
@@ -595,5 +671,5 @@ def test_decoding_builds_no_tensor(monkeypatch):
     assert (decoder.greedy_decode(memories, 10), decoder.beam_decode(memories, 10, 3)) == expected
     assert made == []
     with no_grad():
-        linear(memories[0], decoder.out)  # the counters do see graph ops: one affine node
+        decoder.out(memories[0])  # the counters do see graph ops: one affine node
     assert made.count("Tensor") == made.count("_node") == 1

@@ -11,7 +11,6 @@ from quag.layers import (
     TransformerBlock,
     causal_mask,
     encoder_forward,
-    linear,
     mha,
 )
 from quag.tensor import (
@@ -103,7 +102,7 @@ def five_node_mha(query, key, value, attn, mask=None):
 
 
 def two_node_linear(x, layer):
-    """``linear`` as it was before ``tensor.affine``: a matmul and a bias add,
+    """A linear layer as it was before ``tensor.affine``: a matmul and a bias add,
     a rank-1 input reshaped to one row and back."""
     if x.ndim == 1:
         out = matmul(reshape(x, (1, x.shape[0])), layer.weight) + layer.bias
@@ -125,23 +124,23 @@ class TestLinear:
     def test_identity(self):
         layer = LinearLayer(Tensor(np.eye(3, dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32)))
         x = rng(1).standard_normal((4, 3)).astype(np.float32)
-        np.testing.assert_allclose(linear(Tensor(x), layer).data, x)
+        np.testing.assert_allclose(layer(Tensor(x)).data, x)
 
     def test_hand_arithmetic(self):
         layer = LinearLayer(Tensor([[1.0], [1.0]]), Tensor([0.5]))
-        out = linear(Tensor([1.0, 1.0]), layer)
+        out = layer(Tensor([1.0, 1.0]))
         np.testing.assert_allclose(out.data, [2.5])
 
     def test_shape_mismatch(self):
         layer = LinearLayer.create(rng(), 3, 2)
         with pytest.raises(ShapeError):
-            linear(Tensor(np.zeros((2, 4), dtype=np.float32)), layer)
+            layer(Tensor(np.zeros((2, 4), dtype=np.float32)))
 
     def test_gradient(self):
         layer = LinearLayer.create(rng(2), 4, 3)
         x = Tensor(rng(3).standard_normal((2, 4)).astype(np.float32), requires_grad=True)
         params = [x, layer.weight, layer.bias]
-        err = grad_check(lambda: sum_all(linear(x, layer) * linear(x, layer)), params, h=1e-3)
+        err = grad_check(lambda: sum_all(layer(x) * layer(x)), params, h=1e-3)
         assert err < 1e-4
 
 
@@ -326,7 +325,7 @@ def forward_and_grads(f, inputs, params, upstream):
 
 
 class TestOneNodeAgainstParent:
-    """The one-node ``mha`` and ``linear`` against the five-node and
+    """The one-node ``mha`` and ``LinearLayer`` against the five-node and
     two-node forms they replace: the same float32 arithmetic, added into
     each input in the same order (value, key, query), so the value and
     every gradient are bit-equal, also for inputs shared between roles."""
@@ -357,12 +356,12 @@ class TestOneNodeAgainstParent:
         upstream = Tensor(rng(74).standard_normal(shape[:-1] + (5,)).astype(np.float32))
         params = [x, layer.weight, layer.bias]
         # x enters twice, so each gradient is a sum in tape order
-        got, want = (forward_and_grads(lambda x: f(x, layer) * f(x, layer), [x], params,
-                                       upstream) for f in (linear, two_node_linear))
+        got, want = (forward_and_grads(lambda x: f(x) * f(x), [x], params, upstream)
+                     for f in (layer, lambda x: two_node_linear(x, layer)))
         assert np.array_equal(got[0], want[0])
         for a, b in zip(got[1], want[1]):
             assert np.array_equal(a, b)
-        assert len(ComputationTape.trace(linear(x, layer)).nodes) == 3 + 1
+        assert len(ComputationTape.trace(layer(x)).nodes) == 3 + 1
 
 
 class TestEncoder:

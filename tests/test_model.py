@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config as corpus_config
-from quag import heads, layers
+from quag import layers
 from quag.data import BOS, EOS, EpisodeRecord, step_frame_spans
 from quag.heads import (
     StepBoundaryState,
@@ -83,6 +83,8 @@ class TestConfig:
         assert again == cfg
         assert again.digest() == cfg.digest()
         assert cfg.digest() != tiny_config(lam=0.4).digest()
+        # fields that only decoding or the loop's length read are left out
+        assert cfg.digest() == cfg.replace(beam_width=3, max_steps=9, epochs=7).digest()
 
     def test_int_for_a_float_field_gives_the_same_config(self):
         as_int, as_float = ModelConfig.desk_scale(lr=1), ModelConfig.desk_scale(lr=1.0)
@@ -148,13 +150,14 @@ class TestRegistry:
              "cross_attn.wq", "cross_attn.wk", "cross_attn.wv", "cross_attn.wo"]
             + tail + ["ln3.gain", "ln3.bias"]]
         # Re-recorded when the zero-initialised boundary marker left the
-        # registry: the digest of the other tensors is unchanged, since the
-        # marker drew nothing from the seed's generator.
+        # registry, and again when the three zero-initialised head biases
+        # did: each time the digest equals the old one taken over the tensors
+        # that remain, since the removed ones drew nothing from the seed.
         digest = hashlib.sha256()
         for t in params.named_parameters().values():
             digest.update(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
         assert digest.hexdigest() == \
-            "74ef745b103d337ac27f5633370d36d28ad3210a824d4a1bac88bdee4006e570"
+            "b5cd92dc8c4101c1b0b3b5e13de102db42ba0adb23d5f65458a9edc70b7e6ff6"
 
     def test_compatibility_names_for_the_benchmark_walk(self):
         # bench/walk.py passes params.boundary_marker and reads
@@ -272,15 +275,17 @@ class TestForward:
 
 
 class TestFusionModes:
-    def test_joint_ignores_msp_and_qc2_params(self):
-        cfg = tiny_config(fusion="joint")
-        params = QuagParams(cfg)
-        episode = make_episode()
-        base = trunk(episode, params).data.copy()
-        params.msp.fuse.weight.data += 1.0
-        params.qc2.fuse.weight.data += 1.0
-        after = trunk(episode, params).data
-        np.testing.assert_array_equal(base, after)
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_mode_registers_only_the_stacks_it_runs(self, fusion):
+        """A skipped core stack is None and has no tensor in the registry, and
+        no mode registers a head bias."""
+        runs = {"quag": {"msp", "qc2"}, "joint": set(),
+                "msp-only": {"msp"}, "qc2-only": {"qc2"}}[fusion]
+        params = QuagParams(tiny_config(fusion=fusion))
+        names = params.named_parameters()
+        assert {name.split(".", 1)[0] for name in names} & {"msp", "qc2"} == runs
+        assert {stack for stack in ("msp", "qc2") if getattr(params, stack) is not None} == runs
+        assert not any(name.startswith("heads.") and name.endswith(".bias") for name in names)
 
     def test_quag_uses_msp_params(self):
         params = QuagParams(tiny_config())
@@ -290,13 +295,28 @@ class TestFusionModes:
         after = trunk(episode, params).data
         assert not np.array_equal(base, after)
 
-    def test_msp_only_ignores_qc2(self):
-        params = QuagParams(tiny_config(fusion="msp-only"))
-        episode = make_episode()
-        base = trunk(episode, params).data.copy()
-        params.qc2.gate_channel.weight.data += 1.0
-        after = trunk(episode, params).data
-        np.testing.assert_array_equal(base, after)
+    def test_ablation_is_controlled(self):
+        """Every mode draws both stacks from the seed, so each name two modes
+        share holds the same initial values in both: ``quag`` registers every
+        name, and each mode's tensors equal its tensors of that name."""
+        full = QuagParams(tiny_config(seed=1)).named_parameters()
+        for mode in FUSION_MODES:
+            for name, p in QuagParams(tiny_config(fusion=mode, seed=1)).named_parameters().items():
+                assert np.array_equal(p.data, full[name].data), (mode, name)
+
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_every_registered_tensor_can_learn(self, tiny_corpus, fusion):
+        """On the tiny corpus every registered tensor gets a nonzero gradient
+        from at least one task: none is dead weight to decay and checkpoint."""
+        config = corpus_config(tiny_corpus, fusion=fusion)
+        params = QuagParams(config)
+        reached = set()
+        for task in ("ret", "seg", "cap"):
+            params.zero_grads()
+            batch_loss(tiny_corpus.load_episodes(), params, task, config.lam).total.backward()
+            reached |= {name for name, p in params.named_parameters().items()
+                        if p.grad is not None and p.grad.any()}
+        assert reached == set(params.named_parameters())
 
     def test_msp_loss_zero_when_alignment_disabled(self):
         for mode in ("joint", "qc2-only"):
@@ -495,10 +515,11 @@ class TestGraphSize:
     One node per layer, ``tensor.attention`` with its projections and
     ``tensor.affine`` for every linear, gave 220, 212 and 298, and dropping
     the boundary marker's injection 220, 209 and 298. One stacked trunk for
-    the batch's four equal-length episodes instead of four gives the pinned
+    the batch's four equal-length episodes instead of four gave 120, 109 and
+    198, and dropping the head biases, which were leaves, gives the pinned
     ones."""
 
-    @pytest.mark.parametrize("task,pinned", [("ret", 120), ("seg", 109), ("cap", 198)],
+    @pytest.mark.parametrize("task,pinned", [("ret", 118), ("seg", 108), ("cap", 198)],
                              ids=["ret", "seg", "cap"])
     def test_node_count_is_pinned(self, tiny_corpus, task, pinned):
         params = QuagParams(corpus_config(tiny_corpus))
@@ -523,8 +544,7 @@ def test_backward_frees_interior_gradients_and_matches_parent_layers(
     nodes, got = grads(batch_loss)
     assert all(n.grad is None for n in nodes if n._backward is not None)
     monkeypatch.setattr(layers, "mha", five_node_mha)
-    monkeypatch.setattr(layers, "linear", two_node_linear)
-    monkeypatch.setattr(heads, "linear", two_node_linear)
+    monkeypatch.setattr(layers.LinearLayer, "__call__", lambda self, x: two_node_linear(x, self))
     parent_nodes, want = grads(per_episode_batch_loss)
     assert len(parent_nodes) > len(nodes)
     for name, p in got.items():

@@ -540,6 +540,21 @@ class TestTrainEntryPoint:
         pred = predict(tiny_corpus.load_episodes()[0], model)
         assert pred.steps[-1] == pred.moment[1]
 
+    def test_decoding_fields_do_not_bind_a_checkpoint(self, tiny_corpus, tmp_path):
+        """``beam_width`` and ``max_steps`` are read only by ``predict``, so a
+        trained run decodes at any width and step cap; a field training reads
+        still refuses the checkpoint."""
+        config = tiny_config(tiny_corpus, epochs=1)
+        result = train(config, tiny_corpus, tmp_path / "run")
+        episode = tiny_corpus.load_episodes()[0]
+        for overrides in [{"beam_width": w} for w in (1, 2, 3, 4)] + [{"max_steps": 1}]:
+            model = load_params_for_eval(result.checkpoint_path, config.replace(**overrides))
+            pred = predict(episode, model)
+            assert len(pred.steps) <= model.config.max_steps
+        with pytest.raises(CheckpointError, match="different config"):
+            train(config.replace(epochs=2, lr=2 * config.lr), tiny_corpus, tmp_path / "resumed",
+                  resume_from=result.checkpoint_path)
+
     def test_resume_into_crashed_run_dir_rewrites_log(self, tiny_corpus, tmp_path):
         config = tiny_config(tiny_corpus, epochs=4)
         full = train(config, tiny_corpus, tmp_path / "full")
