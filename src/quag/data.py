@@ -257,9 +257,9 @@ class DatasetManifest:
             rec = load_episode(self.resolve(rel))
             if rec.visual.shape[1] != self.visual_dim or rec.audio.shape[1] != self.audio_dim \
                     or rec.query.shape[0] != self.query_dim:
-                raise InvariantViolationError(
-                    f"{rel}: feature dims disagree with manifest"
-                )
+                raise InvariantViolationError(f"{rel}: feature dims disagree with manifest")
+            if rec.n_frames > self.n_frames:
+                raise InvariantViolationError(f"{rel}: over the manifest's {self.n_frames} frames")
             if any(t >= vocab_size for cap in rec.captions for t in cap):
                 raise InvariantViolationError(
                     f"{rel}: caption token id outside the vocabulary of size {vocab_size}")
@@ -312,6 +312,8 @@ def load_manifest(path: Path) -> DatasetManifest:
     path = Path(path)
     doc = load_json_fields(path, DatasetManifest, EpisodeIOError)
     manifest = DatasetManifest(root=path.parent, **doc)
+    if manifest.n_frames < 1:
+        raise EpisodeIOError(f"{path}: manifest n_frames must be >= 1, got {manifest.n_frames}")
     for rel in [*manifest.episode_paths, manifest.vocab_path]:
         if not manifest.resolve(rel).exists():
             raise EpisodeIOError(f"manifest references missing file {rel}")

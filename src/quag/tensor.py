@@ -225,6 +225,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """``t.grad``, made a C-order zero array first if there is none."""
+    if t.grad is None:
+        t.grad = np.zeros(t.shape, dtype=t.data.dtype)
+    return t.grad
+
+
 def _accumulate_episodes(t: Tensor, grad_of: Callable[[int], np.ndarray], count: int,
                          rows: Optional[slice] = None) -> None:
     """Add ``grad_of(b)`` into ``t``, or into its ``rows`` only, for
@@ -232,13 +239,11 @@ def _accumulate_episodes(t: Tensor, grad_of: Callable[[int], np.ndarray], count:
     of ``count`` per-episode graphs."""
     if not t.requires_grad:
         return
-    if rows is not None and t.grad is None:
-        t.grad = np.zeros(t.shape, dtype=t.data.dtype)
     for b in range(count - 1, -1, -1):
         if rows is None:
             _accumulate(t, grad_of(b))
         else:
-            t.grad[rows] += grad_of(b)
+            _grad_buffer(t)[rows] += grad_of(b)
 
 
 def _stacked(a: np.ndarray) -> np.ndarray:
@@ -379,9 +384,7 @@ def take_episode(x: Tensor, index: int) -> Tensor:
     data = x.data[index].copy()
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros(x.shape, dtype=x.data.dtype)
-        x.grad[index] += g
+        _grad_buffer(x)[index] += g
 
     return _node(data, (x,), backward)
 
@@ -455,11 +458,8 @@ def embed_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     data = table.data[idx]
 
     def backward(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        if table.requires_grad:
+            np.add.at(_grad_buffer(table), idx, g)
 
     return _node(data, (table,), backward)
 
@@ -494,9 +494,7 @@ def pick(tensors: Sequence[Tensor], index: Sequence) -> Tensor:
     def backward(g):
         for t, ix, p, lo, hi in zip(tensors, where, picked, bounds[:-1], bounds[1:]):
             if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                np.add.at(t.grad, ix, g[lo:hi].reshape(p.shape))
+                np.add.at(_grad_buffer(t), ix, g[lo:hi].reshape(p.shape))
 
     return _node(data, list({id(t): t for t in tensors}.values()), backward)
 

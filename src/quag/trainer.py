@@ -45,7 +45,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"QGCK"
 CHECKPOINT_VERSION = 2
-_SLICE = 1 << 14  # AdamW elements per slice: 128 KiB of float64
+_SLICE = 1 << 14  # AdamW elements per slice of its flat buffers: 128 KiB of float64
 
 
 class CheckpointError(ValueError):
@@ -53,19 +53,18 @@ class CheckpointError(ValueError):
 
 
 class AdamW:
-    """Bias-corrected Adam with decoupled weight decay.
+    """Bias-corrected Adam with decoupled weight decay, over flat buffers.
 
-    Parameters without a gradient this step are treated as having a zero
-    gradient, so moment decay and weight decay apply uniformly every step.
-
-    Parameters stay float32, the dtype the model computes in. The moments
-    ``m`` and ``v`` are float64, and each step computes them and the update
-    in float64 from the float32 gradient; only the new parameter is rounded
-    to float32. Float32 moments let rounding error build up from step to
-    step: after 20 steps on a quadratic they drift 1.4e-7 from a float64
-    Adam, against 4.3e-8 this way. Each parameter is walked in slices of
-    ``_SLICE`` elements through two float64 scratch buffers that stay in
-    cache, so the wider arithmetic adds little memory traffic.
+    Each ``p.data`` is rebound to its view of one float32 buffer, laid out in
+    the given order, and ``step`` updates it in place. The gradients have a
+    float32 buffer and the moments a float64 pair of the same layout, viewed
+    per name as ``m[name]`` and ``v[name]``. ``zero_grads`` points every
+    ``p.grad`` at its slot, so backward adds into the buffer; ``step`` copies
+    any other gradient into its slot, ``None`` as zero. The moments and update
+    are float64 and only the new parameter is rounded: float32 moments drift
+    1.4e-7 from a float64 Adam in 20 steps on a quadratic, against 4.3e-8.
+    The flat arrays are walked in ``_SLICE`` slices through two float64
+    scratch buffers that stay in cache, one set of ufunc calls per slice.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
@@ -80,13 +79,21 @@ class AdamW:
                 ("weight_decay", weight_decay, weight_decay >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"AdamW {name} must be {allowed}, got {value}")
-        self.params = dict(params)
-        self.lr = lr
+        self.lr, self.eps, self.weight_decay = lr, eps, weight_decay
         self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.m = {n: np.zeros(p.data.shape) for n, p in self.params.items()}
-        self.v = {n: np.zeros(p.data.shape) for n, p in self.params.items()}
+        size = sum(p.data.size for p in params.values())
+        self.flat_data, self.flat_grad = np.empty(size, np.float32), np.zeros(size, np.float32)
+        self.flat_m, self.flat_v = np.zeros(size), np.zeros(size)
+        self.m, self.v, self._slots = {}, {}, []  # slots: (name, tensor, data view, grad view)
+        lo = 0
+        for name, p in params.items():
+            data, grad, self.m[name], self.v[name] = (
+                flat[lo:lo + p.data.size].reshape(p.shape)
+                for flat in (self.flat_data, self.flat_grad, self.flat_m, self.flat_v))
+            np.copyto(data, p.data, casting="equiv")  # a float64 parameter raises TypeError
+            p.data = data
+            self._slots.append((name, p, data, grad))
+            lo += data.size
         self.t = 0
 
     @classmethod
@@ -95,51 +102,52 @@ class AdamW:
         return cls(model.named_parameters(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                    eps=cfg.eps, weight_decay=cfg.weight_decay)
 
+    def zero_grads(self) -> None:
+        """Zero the gradient buffer and point every ``p.grad`` at its slot."""
+        self.flat_grad.fill(0.0)
+        for _, p, _, grad in self._slots:
+            p.grad = grad
+
     def step(self) -> None:
+        for name, p, data, grad in self._slots:
+            if p.data is not data:  # the step would update an array p no longer holds
+                raise ValueError(f"parameter {name!r} was rebound after AdamW took it")
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else p.grad
+        x, g, m, v = self.flat_data, self.flat_grad, self.flat_m, self.flat_v
+        # NaN propagates through max and min, and an infinity becomes one of them.
+        if g.size and not (math.isfinite(g.max()) and math.isfinite(g.min())):
+            name = next(name for name, _, _, grad in self._slots if not np.isfinite(grad).all())
+            raise NonFiniteLossError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         step_size = self.lr / (1.0 - b1 ** self.t)
         inv_bc2 = 1.0 / (1.0 - b2 ** self.t)
         shrink = 1.0 - self.lr * self.weight_decay
-        g64 = np.empty(_SLICE)
-        u64 = np.empty(_SLICE)
-        for name, p in self.params.items():
-            g = p.grad
-            if g is not None:
-                if not np.isfinite(g).all():
-                    raise NonFiniteLossError(f"non-finite gradient in parameter {name!r}")
-                g = g.reshape(-1)
-            x = p.data.reshape(-1)
-            new = np.empty_like(x)
-            m = self.m[name].reshape(-1)
-            v = self.v[name].reshape(-1)
-            for lo in range(0, x.size, _SLICE):
-                hi = min(lo + _SLICE, x.size)
-                gs, u = g64[:hi - lo], u64[:hi - lo]
-                ms, vs = m[lo:hi], v[lo:hi]
-                if g is None:
-                    gs.fill(0.0)
-                else:
-                    np.copyto(gs, g[lo:hi])
-                ms *= b1
-                np.multiply(gs, 1.0 - b1, out=u)
-                ms += u
-                vs *= b2
-                np.multiply(gs, gs, out=gs)
-                gs *= 1.0 - b2
-                vs += gs
-                # u = lr * m_hat / (sqrt(v_hat) + eps)
-                np.multiply(vs, inv_bc2, out=u)
-                np.sqrt(u, out=u)
-                u += self.eps
-                np.divide(ms, u, out=u)
-                u *= step_size
-                # new = x - lr * update - lr * weight_decay * x
-                np.copyto(gs, x[lo:hi])
-                gs *= shrink
-                gs -= u
-                np.copyto(new[lo:hi], gs, casting="same_kind")
-            p.data = new.reshape(p.data.shape)
+        g64, u64 = np.empty(_SLICE), np.empty(_SLICE)
+        for lo in range(0, x.size, _SLICE):
+            hi = min(lo + _SLICE, x.size)
+            gs, u = g64[:hi - lo], u64[:hi - lo]
+            ms, vs = m[lo:hi], v[lo:hi]
+            np.copyto(gs, g[lo:hi])
+            ms *= b1
+            np.multiply(gs, 1.0 - b1, out=u)
+            ms += u
+            vs *= b2
+            np.multiply(gs, gs, out=gs)
+            gs *= 1.0 - b2
+            vs += gs
+            # u = lr * m_hat / (sqrt(v_hat) + eps)
+            np.multiply(vs, inv_bc2, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            np.divide(ms, u, out=u)
+            u *= step_size
+            # x = x - lr * update - lr * weight_decay * x
+            np.copyto(gs, x[lo:hi])
+            gs *= shrink
+            gs -= u
+            np.copyto(x[lo:hi], gs, casting="same_kind")
 
 
 @dataclass
@@ -255,7 +263,9 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
 
 def train_step(episodes: Sequence[EpisodeRecord], model: QuagParams, optimizer: AdamW,
                task: str, lam: float, rng: Optional[np.random.Generator] = None) -> LossBundle:
-    model.zero_grads()
+    """One AdamW step on ``batch_loss``: backward adds every gradient straight
+    into its slot of the optimizer's zeroed gradient buffer."""
+    optimizer.zero_grads()
     bundle = batch_loss(episodes, model, task, lam, rng)
     bundle.total.backward()
     optimizer.step()

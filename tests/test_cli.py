@@ -92,6 +92,19 @@ def test_bad_input_is_reported_not_raised(tmp_path, capsys):
     assert "missing-run" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_frames,message", [
+    (-1, "n_frames must be >= 1"), (4, "over the manifest's 4 frames")])
+def test_wrong_manifest_frame_count_refused_before_the_run_dir(tmp_path, capsys, n_frames,
+                                                               message):
+    assert main(["gen", str(tmp_path / "corpus")]) == 0
+    path = tmp_path / "corpus" / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "n_frames": n_frames}))
+    capsys.readouterr()
+    assert main(["train", str(path), str(tmp_path / "run")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_zero_heads_config_exits_1(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_heads": 0}))

@@ -328,6 +328,8 @@ class TestSyntheticGenerator:
         (lambda doc: [doc], "JSON object"),
         (lambda doc: {**doc, "episode_paths": "abc"}, "episode_paths"),
         (lambda doc: {**doc, "root": "/"}, "unknown"),
+        (lambda doc: {**doc, "n_frames": -1}, "n_frames must be >= 1"),
+        (lambda doc: {**doc, "n_frames": 0}, "n_frames must be >= 1"),
     ])
     def test_malformed_manifest_rejected(self, tmp_path, edit, match):
         generate_synthetic_dataset(tmp_path, SyntheticSpec(seed=5, n_episodes=2))
@@ -335,6 +337,15 @@ class TestSyntheticGenerator:
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(EpisodeIOError, match=match):
             load_manifest(path)
+
+    def test_episode_longer_than_the_manifest_rejected(self, tmp_path):
+        generate_synthetic_dataset(tmp_path, SyntheticSpec(seed=5, n_episodes=2, n_frames=12))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "n_frames": 4}))
+        with pytest.raises(InvariantViolationError, match="over the manifest's 4 frames"):
+            load_manifest(path).load_episodes()
+        path.write_text(json.dumps({**json.loads(path.read_text()), "n_frames": 13}))
+        assert len(load_manifest(path).load_episodes()) == 2  # a bound, not an exact length
 
     def test_caption_id_outside_vocabulary_rejected(self, tmp_path):
         generate_synthetic_dataset(tmp_path, SyntheticSpec(seed=5, n_episodes=2))

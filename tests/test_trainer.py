@@ -3,6 +3,7 @@ import json
 import os
 import signal
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,6 +27,7 @@ from quag.trainer import (
     round_robin_epoch,
     save_checkpoint,
     train,
+    train_step,
 )
 
 
@@ -125,6 +127,216 @@ class TestAdamW:
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match=field):
             AdamW({"p": p}, **{"lr": 0.1, field: value})
+
+
+class SlowAdamW:
+    """The per-parameter AdamW step that the flat-buffer step replaced, kept
+    as its reference: every parameter has its own float64 moments, a None
+    gradient is a zero one, and the new float32 values go into a fresh array."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+        self.params = dict(params)
+        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
+        self.eps, self.weight_decay = eps, weight_decay
+        self.m = {n: np.zeros(p.data.shape) for n, p in self.params.items()}
+        self.v = {n: np.zeros(p.data.shape) for n, p in self.params.items()}
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        step_size = self.lr / (1.0 - b1 ** self.t)
+        inv_bc2 = 1.0 / (1.0 - b2 ** self.t)
+        shrink = 1.0 - self.lr * self.weight_decay
+        g64 = np.empty(trainer._SLICE)
+        u64 = np.empty(trainer._SLICE)
+        for name, p in self.params.items():
+            g = p.grad
+            if g is not None:
+                if not np.isfinite(g).all():
+                    raise NonFiniteLossError(f"non-finite gradient in parameter {name!r}")
+                g = g.reshape(-1)
+            x = p.data.reshape(-1)
+            new = np.empty_like(x)
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
+            for lo in range(0, x.size, trainer._SLICE):
+                hi = min(lo + trainer._SLICE, x.size)
+                gs, u = g64[:hi - lo], u64[:hi - lo]
+                ms, vs = m[lo:hi], v[lo:hi]
+                if g is None:
+                    gs.fill(0.0)
+                else:
+                    np.copyto(gs, g[lo:hi])
+                ms *= b1
+                np.multiply(gs, 1.0 - b1, out=u)
+                ms += u
+                vs *= b2
+                np.multiply(gs, gs, out=gs)
+                gs *= 1.0 - b2
+                vs += gs
+                np.multiply(vs, inv_bc2, out=u)
+                np.sqrt(u, out=u)
+                u += self.eps
+                np.divide(ms, u, out=u)
+                u *= step_size
+                np.copyto(gs, x[lo:hi])
+                gs *= shrink
+                gs -= u
+                np.copyto(new[lo:hi], gs, casting="same_kind")
+            p.data = new.reshape(p.data.shape)
+
+
+def _twin_params(shapes, seed):
+    """Two dicts of equal float32 parameters, one for each optimizer."""
+    rng = np.random.default_rng(seed)
+    values = {f"p{i}": rng.standard_normal(shape).astype(np.float32)
+              for i, shape in enumerate(shapes)}
+    return tuple({n: Tensor(a.copy(), requires_grad=True) for n, a in values.items()}
+                 for _ in range(2))
+
+
+def _random_gradients(fast, slow, optimizer, rng):
+    """Give both sides the same random gradients. Each parameter's gradient
+    of the fast side comes through backward, is assigned as a fresh array,
+    or is None, by a draw per parameter. Every other step or so the
+    gradients are cleared instead of zeroed in place, as ``bench/walk.py``
+    does: backward then makes fresh arrays, and the slots keep the last
+    step's values."""
+    if rng.integers(2):
+        optimizer.zero_grads()
+    else:
+        for p in fast.values():
+            p.grad = None
+    landed = []
+    for name, p in fast.items():
+        how = rng.integers(3)
+        g = (rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 2)).astype(np.float32)
+        slow[name].grad = None if how == 2 else g.copy()
+        if how == 0:
+            landed.append(sum_all(p * Tensor(g)))
+        else:
+            p.grad = None if how == 2 else g
+    if landed:
+        sum(landed[1:], landed[0]).backward()
+
+
+def _assert_same_state(fast, slow, optimizer, reference):
+    for name, p in fast.items():
+        assert np.array_equal(p.data, slow[name].data), name
+        assert np.array_equal(optimizer.m[name], reference.m[name]), name
+        assert np.array_equal(optimizer.v[name], reference.v[name]), name
+
+
+class TestFlatAgainstSlowAdamW:
+    """The flat-buffer step does the per-parameter step's float64 arithmetic
+    element for element, so parameters and moments are equal bit for bit."""
+
+    def test_thirty_steps_match_the_per_parameter_step(self):
+        # size 1, several slices with a ragged tail, and ordinary matrices
+        shapes = [(1,), (2 * trainer._SLICE + 123,), (7, 5), (3, 4, 2), (trainer._SLICE,)]
+        fast, slow = _twin_params(shapes, seed=0)
+        optimizer = AdamW(fast, lr=0.01, weight_decay=0.1)
+        reference = SlowAdamW(slow, lr=0.01, weight_decay=0.1)
+        rng = np.random.default_rng(1)
+        for _ in range(30):
+            _random_gradients(fast, slow, optimizer, rng)
+            optimizer.step()
+            reference.step()
+            _assert_same_state(fast, slow, optimizer, reference)
+
+    def test_restored_optimizer_keeps_matching(self, tiny_corpus, tmp_path):
+        config = tiny_config(tiny_corpus)
+        model, twin = QuagParams(config), QuagParams(config)
+        fast, slow = model.named_parameters(), twin.named_parameters()
+        optimizer = AdamW.for_model(model)
+        reference = SlowAdamW(slow, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
+                              eps=config.eps, weight_decay=config.weight_decay)
+        rng = np.random.default_rng(2)
+        for step in range(30):
+            if step == 15:
+                save_checkpoint(tmp_path / "ckpt.qgck", config, model, optimizer, epoch=1)
+                model = QuagParams(config)
+                optimizer = AdamW.for_model(model)
+                load_checkpoint(tmp_path / "ckpt.qgck", config, model, optimizer)
+                fast = model.named_parameters()
+            _random_gradients(fast, slow, optimizer, rng)
+            optimizer.step()
+            reference.step()
+            _assert_same_state(fast, slow, optimizer, reference)
+        assert optimizer.t == reference.t == 30
+
+    def test_nan_gradient_raises_before_any_update(self):
+        fast, slow = _twin_params([(3,), (2, 2)], seed=3)
+        optimizer = AdamW(fast, lr=0.1)
+        before = optimizer.flat_data.copy()
+        fast["p0"].grad = np.ones(3, dtype=np.float32)
+        fast["p1"].grad = np.array([[1.0, -np.inf], [0.0, 0.0]], dtype=np.float32)
+        with pytest.raises(NonFiniteLossError, match="'p1'"):
+            optimizer.step()
+        assert np.array_equal(optimizer.flat_data, before) and optimizer.t == 0
+
+
+class TestFlatBuffers:
+    def test_parameters_become_views_of_one_buffer(self, tiny_corpus):
+        model = QuagParams(tiny_config(tiny_corpus))
+        before = {n: p.data.copy() for n, p in model.named_parameters().items()}
+        optimizer = AdamW.for_model(model)
+        for name, p in model.named_parameters().items():
+            assert np.array_equal(p.data, before[name]) and p.data.dtype == np.float32
+            assert np.shares_memory(p.data, optimizer.flat_data) and p.data.flags.c_contiguous
+        assert optimizer.flat_data.size == sum(a.size for a in before.values())
+
+    def test_rebound_parameter_raises(self):
+        fast, _ = _twin_params([(4,), (2, 3)], seed=4)
+        optimizer = AdamW(fast, lr=0.1)
+        fast["p1"].data = fast["p1"].data.copy()
+        with pytest.raises(ValueError, match="'p1' was rebound after AdamW"):
+            optimizer.step()
+
+    def test_float64_parameter_rejected(self):
+        with pytest.raises(TypeError, match="float64"):
+            AdamW({"p": Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)}, lr=0.1)
+
+    def test_load_checkpoint_reads_into_the_flat_buffers(self, tiny_corpus, tmp_path):
+        config = tiny_config(tiny_corpus)
+        model, optimizer = _trained_state(config)
+        save_checkpoint(tmp_path / "ckpt.qgck", config, model, optimizer, epoch=1)
+        restored = QuagParams(config)
+        opt2 = AdamW.for_model(restored)
+        load_checkpoint(tmp_path / "ckpt.qgck", config, restored, opt2)
+        assert np.array_equal(opt2.flat_data, optimizer.flat_data)
+        assert np.array_equal(opt2.flat_m, optimizer.flat_m)
+        assert np.array_equal(opt2.flat_v, optimizer.flat_v)
+        for name, p in restored.named_parameters().items():
+            assert np.shares_memory(p.data, opt2.flat_data)
+            assert np.shares_memory(opt2.m[name], opt2.flat_m)
+            assert np.shares_memory(opt2.v[name], opt2.flat_v)
+        opt2.zero_grads()
+        opt2.step()  # the restored parameters are still the ones the step updates
+
+    def test_train_step_lands_every_gradient_in_the_buffer(self, tiny_corpus):
+        config = tiny_config(tiny_corpus)
+        model = QuagParams(config)
+        optimizer = AdamW.for_model(model)
+        for task in TASKS:
+            train_step(tiny_corpus.load_episodes(), model, optimizer, task, config.lam)
+            for name, p in model.named_parameters().items():
+                assert p.grad is not None and np.shares_memory(p.grad, optimizer.flat_grad), name
+
+    def test_step_allocates_only_its_scratch(self):
+        # The per-parameter step allocated a 4 MB result for this parameter.
+        fast, _ = _twin_params([(1 << 20,), (3,)], seed=5)
+        optimizer = AdamW(fast, lr=0.1)
+        optimizer.zero_grads()
+        optimizer.flat_grad[:] = 0.5
+        tracemalloc.start()
+        try:
+            optimizer.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * trainer._SLICE * 8 + 64 * 1024, peak
 
 
 class TestSchedule:
