@@ -1,0 +1,95 @@
+"""Print a fingerprint of what a checkout computes, to check that a change
+is bit-identical to its parent.
+
+    python3 scripts/fingerprint.py CHECKOUT
+
+For each benchmark workload it builds the seed-1 corpus (as ``bench/run.py``
+does), trains the workload's config once and prints the sha256 of:
+- ``metrics.jsonl``;
+- the checkpoint bytes after the config digest, so a change that only
+  renames or drops config fields still compares equal;
+- ``predict`` on every held-out episode, untrained and trained, at beam
+  widths 1 and 3.
+
+``quag`` and ``bench/workloads.py`` are imported from CHECKOUT, so run it
+once on each checkout and compare the two outputs line by line.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import struct
+import sys
+import tempfile
+from pathlib import Path
+
+# One BLAS thread, as in bench/run.py: the sums then do not depend on the host.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+SEED = 1
+BEAM_WIDTHS = (1, 3)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def weights_after_digest(checkpoint: bytes) -> bytes:
+    """The checkpoint less its magic, version and config digest."""
+    from quag.trainer import CHECKPOINT_MAGIC
+
+    start = len(CHECKPOINT_MAGIC)
+    _, digest_len = struct.unpack_from("<II", checkpoint, start)
+    return checkpoint[start + 8 + digest_len:]
+
+
+def predictions(model, episodes) -> bytes:
+    from quag.model import predict
+
+    return json.dumps([dataclasses.asdict(predict(ep, model)) for ep in episodes]).encode()
+
+
+def fingerprint(name: str, work: Path) -> list[tuple[str, str]]:
+    from quag.model import ModelConfig, QuagParams
+    from quag.trainer import load_params_for_eval, train
+    from workloads import WORKLOADS, generate_corpus
+
+    wl = WORKLOADS[name]
+    train_m, held_m, _ = generate_corpus(wl, SEED, work / "corpus")
+    config = ModelConfig.for_manifest(train_m, base=wl.base)
+    heldout = held_m.load_episodes()
+    rows = [(f"predict.untrained.beam{w}",
+             sha256(predictions(QuagParams(config.replace(beam_width=w)), heldout)))
+            for w in BEAM_WIDTHS]
+    result = train(config, train_m, work / "run")
+    rows.append(("metrics.jsonl", sha256(result.log_path.read_bytes())))
+    rows.append(("checkpoint.weights",
+                 sha256(weights_after_digest(result.checkpoint_path.read_bytes()))))
+    rows += [(f"predict.trained.beam{w}",
+              sha256(predictions(load_params_for_eval(result.checkpoint_path,
+                                                      config.replace(beam_width=w)), heldout)))
+             for w in BEAM_WIDTHS]
+    return rows
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout = Path(argv[0]).resolve()
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
+    from workloads import WORKLOADS
+
+    for name in WORKLOADS:
+        with tempfile.TemporaryDirectory(prefix="quag-fingerprint-") as tmp:
+            for label, digest in fingerprint(name, Path(tmp)):
+                print(f"{name} {label} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

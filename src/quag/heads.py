@@ -182,12 +182,11 @@ class CaptionDecoder:
 
     @classmethod
     def create(cls, rng: np.random.Generator, vocab_size: int, dim: int, n_heads: int,
-               n_layers: int, max_positions: int,
-               ffn_dim: Optional[int] = None) -> "CaptionDecoder":
+               n_layers: int, max_positions: int) -> "CaptionDecoder":
         return cls(
             Tensor(xavier_uniform(rng, vocab_size, dim), requires_grad=True),
             Tensor(xavier_uniform(rng, max_positions, dim), requires_grad=True),
-            [TransformerBlock.create(rng, dim, n_heads, ffn_dim, decoder=True)
+            [TransformerBlock.create(rng, dim, n_heads, decoder=True)
              for _ in range(n_layers)],
             LinearLayer.create(rng, dim, vocab_size),
         )

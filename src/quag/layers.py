@@ -37,7 +37,6 @@ __all__ = [
     "LinearLayer",
     "MultiHeadAttention",
     "TransformerBlock",
-    "mha",
     "encoder_forward",
     "xavier_uniform",
     "causal_mask",
@@ -109,7 +108,13 @@ class MultiHeadAttention:
 
     def __call__(self, query: Tensor, key: Tensor, value: Tensor,
                  mask: Optional[np.ndarray] = None) -> Tensor:
-        return mha(query, key, value, self, mask=mask)
+        """One ``tensor.attention`` node over [Lq x D] queries and [Lk x D]
+        keys and values. Head i attends with channels [i*D/h, (i+1)*D/h) of
+        the projections. ``mask``, boolean [Lq x Lk] and shared by every head,
+        is True at keys a query must not attend to: they get exactly zero
+        weight, and a query row with every key masked is an error."""
+        return attention(query, key, value, self.wq, self.wk, self.wv, self.wo,
+                         self.n_heads, mask)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.wq", self.wq
@@ -118,39 +123,17 @@ class MultiHeadAttention:
         yield f"{prefix}.wo", self.wo
 
 
-def mha(query: Tensor, key: Tensor, value: Tensor, attn: MultiHeadAttention,
-        mask: Optional[np.ndarray] = None) -> Tensor:
-    """Multi-head attention over [Lq x D] queries and [Lk x D] keys/values:
-    one ``tensor.attention`` graph node for the ``wq``/``wk``/``wv``
-    projections, the attention core and ``wo``.
-
-    Head i attends with channels [i*D/h, (i+1)*D/h) of the projections.
-    ``mask`` is boolean [Lq x Lk] with True marking keys a query must not
-    attend to, shared by every head; masked keys receive exactly zero weight,
-    and a fully-masked query row is an error.
-    """
-    return attention(query, key, value, attn.wq, attn.wk, attn.wv, attn.wo, attn.n_heads, mask)
-
-
 def causal_mask(length: int) -> np.ndarray:
     """Boolean [L x L] mask excluding positions after each query index."""
     return np.triu(np.ones((length, length), dtype=bool), k=1)
 
 
-def _ffn_width(dim: int, ffn_dim: Optional[int]) -> int:
-    """The feed-forward width: ``ffn_dim``, or ``4 * dim`` when it is None."""
-    if ffn_dim is None:
-        return 4 * dim
-    if ffn_dim < 1:
-        raise ValueError(f"ffn_dim must be >= 1, or None for 4 * dim, got {ffn_dim}")
-    return ffn_dim
-
-
 class TransformerBlock:
     """Post-norm transformer block (Vaswani et al., arXiv:1706.03762): self-
-    attention and a GELU feed-forward, each wrapped in residual + layer norm.
-    A decoder block also has ``cross_attn`` over an encoder memory between
-    the two, and only a decoder block masks its self-attention causally."""
+    attention and a GELU feed-forward of width 4 * D, each wrapped in
+    residual + layer norm. A decoder block also has ``cross_attn`` over an
+    encoder memory between the two, and only a decoder block masks its
+    self-attention causally."""
 
     def __init__(self, self_attn: MultiHeadAttention, cross_attn: Optional[MultiHeadAttention],
                  ffn_in: LinearLayer, ffn_out: LinearLayer,
@@ -164,14 +147,13 @@ class TransformerBlock:
 
     @classmethod
     def create(cls, rng: np.random.Generator, dim: int, n_heads: int,
-               ffn_dim: Optional[int] = None, decoder: bool = False) -> "TransformerBlock":
-        ffn_dim = _ffn_width(dim, ffn_dim)
+               decoder: bool = False) -> "TransformerBlock":
         # The arguments draw from ``rng`` in this order, which fixes the weights.
         return cls(
             MultiHeadAttention.create(rng, dim, n_heads),
             MultiHeadAttention.create(rng, dim, n_heads) if decoder else None,
-            LinearLayer.create(rng, dim, ffn_dim),
-            LinearLayer.create(rng, ffn_dim, dim),
+            LinearLayer.create(rng, dim, 4 * dim),
+            LinearLayer.create(rng, 4 * dim, dim),
             [Tensor(np.ones(dim, dtype=np.float32), requires_grad=True) for _ in range(2 + decoder)],
             [Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True) for _ in range(2 + decoder)],
         )

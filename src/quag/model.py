@@ -54,7 +54,6 @@ class ModelConfig:
     n_heads: int = 8
     encoder_layers: int = 2
     decoder_layers: int = 2
-    ffn_dim: Optional[int] = None
     visual_dim: int = 40
     audio_dim: int = 24
     query_dim: int = 16
@@ -65,8 +64,9 @@ class ModelConfig:
     tau: float = 0.07
     lam: float = 0.1
     normalize_contrastive: bool = False
-    use_positional: bool = True
-    caption_context: ClassVar[str] = "step"  # not a field: for bench/walk.py until ROADMAP 1b
+    # Not fields, fixed: bench/walk.py reads both names until ROADMAP 1b.
+    use_positional: ClassVar[bool] = True
+    caption_context: ClassVar[str] = "step"
     fusion: str = "quag"
     beam_width: int = 1
     lr: float = 1e-5
@@ -100,8 +100,6 @@ class ModelConfig:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if not self.lr >= 0:
             raise ValueError(f"lr must be nonnegative, got {self.lr}")
-        if self.ffn_dim is not None and self.ffn_dim < 1:
-            raise ValueError(f"ffn_dim must be >= 1, or None for 4 * d_model, got {self.ffn_dim}")
         for name in ("encoder_layers", "decoder_layers"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -187,14 +185,12 @@ class QuagParams:
         qc2 = Qc2Params.create(rng, d, config.n_heads)
         self.msp: Optional[MspParams] = msp if config.fusion in ("quag", "msp-only") else None
         self.qc2: Optional[Qc2Params] = qc2 if config.fusion in ("quag", "qc2-only") else None
-        self.encoder = [TransformerBlock.create(rng, d, config.n_heads, config.ffn_dim)
+        self.encoder = [TransformerBlock.create(rng, d, config.n_heads)
                         for _ in range(config.encoder_layers)]
         self.start_head, self.end_head, self.step_head = (
             Tensor(xavier_uniform(rng, d, 1), requires_grad=True) for _ in range(3))
-        self.decoder = CaptionDecoder.create(
-            rng, config.vocab_size, d, config.n_heads, config.decoder_layers,
-            config.max_caption_len + 1, config.ffn_dim,
-        )
+        self.decoder = CaptionDecoder.create(rng, config.vocab_size, d, config.n_heads,
+                                             config.decoder_layers, config.max_caption_len + 1)
 
     def _named(self) -> Iterator[tuple[str, Tensor]]:
         yield from self.proj_visual.named_params("proj_visual")
@@ -293,14 +289,11 @@ def _trunk(visual: np.ndarray, audio: np.ndarray, query: np.ndarray, params: Qua
            ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
     """The trunk over one episode's [N, ·] frames and [Dq] query, or over
     [B, N, ·] frames and [B, 1, Dq] queries."""
-    config = params.config
     r_v = params.proj_visual(Tensor(visual))
     r_a = params.proj_audio(Tensor(audio))
     r_t = params.proj_query(Tensor(query))
-    if config.use_positional:
-        pos = slice_rows(params.pos_embed, 0, r_v.shape[-2], r_v.shape[:-2])
-        r_v = r_v + pos
-        r_a = r_a + pos
+    pos = slice_rows(params.pos_embed, 0, r_v.shape[-2], r_v.shape[:-2])
+    r_v, r_a = r_v + pos, r_a + pos
 
     pooled_v = pooled_a = None
     if params.msp is not None:
@@ -318,7 +311,7 @@ def _trunk(visual: np.ndarray, audio: np.ndarray, query: np.ndarray, params: Qua
     else:
         rep = fused * r_t
 
-    enhanced = encoder_forward(rep, params.encoder, config.dropout, rng)
+    enhanced = encoder_forward(rep, params.encoder, params.config.dropout, rng)
     return enhanced, pooled_v, pooled_a
 
 

@@ -309,17 +309,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 # structural ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; any leading axes must match."""
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) < 2 or len(sa) != len(sb) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
-        raise ShapeError(f"matmul shape mismatch: {sa} @ {sb}")
+    """Product of two rank-2 tensors, [M x K] @ [K x N]."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            _accumulate(a, g @ b.data.T)
         if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accumulate(b, a.data.T @ g)
 
     return _node(data, (a, b), backward)
 
@@ -345,23 +344,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(data.reshape(x.shape[:-1] + b.shape), (x, w, b), backward)
 
 
-def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    """Permute the axes of ``x`` into a contiguous copy.
-
-    Without ``axes`` the input must be rank-2 and its two axes are swapped.
-    """
-    if axes is None:
-        if x.ndim != 2:
-            raise ShapeError(f"transpose expects a rank-2 tensor, got {x.shape}")
-        axes = (1, 0)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose axes {axes} are not a permutation for shape {x.shape}")
-    data = x.data.transpose(axes).copy()
-    inverse = tuple(np.argsort(axes))
+def transpose(x: Tensor) -> Tensor:
+    """The transpose of a rank-2 tensor, as a contiguous copy."""
+    if x.ndim != 2:
+        raise ShapeError(f"transpose expects a rank-2 tensor, got {x.shape}")
+    data = x.data.T.copy()
 
     def backward(g):
-        _accumulate(x, g.transpose(inverse))
+        _accumulate(x, g.T)
 
     return _node(data, (x,), backward)
 

@@ -23,9 +23,9 @@ from quag.data import BOS, EOS, DatasetManifest, EpisodeRecord, step_frame_spans
 from quag.heads import StepBoundaryState, predict_moment_span, step_distribution
 from quag.losses import (TASKS, LossBundle, NonFiniteLossError, caption_loss, retrieval_loss,
                          segmentation_loss, total_loss)
-from quag.model import ModelConfig, QuagParams, encode_stacked
+from quag.model import ModelConfig, QuagParams, _check_dims, encode_stacked
 from quag.msp import msp_contrastive_loss
-from quag.tensor import Tensor, slice_rows, stack_rows, take_episode
+from quag.tensor import ShapeError, Tensor, slice_rows, stack_rows, take_episode
 
 __all__ = [
     "AdamW",
@@ -502,9 +502,15 @@ def train(config: ModelConfig, manifest: DatasetManifest, out_dir: Path,
     as the most recent good state. A run resumed into a directory that
     already has a log keeps its lines for the epochs before the checkpoint's
     and writes the rest anew, so the log reads as if the run never stopped.
+    A config that does not fit the manifest raises ``ShapeError`` first.
     """
     config.validate()
     episodes = manifest.load_episodes()
+    for episode in episodes:
+        _check_dims(episode, config)
+    vocab_size = len(manifest.load_vocabulary())
+    if config.vocab_size < vocab_size:
+        raise ShapeError(f"config vocab_size {config.vocab_size} < manifest's {vocab_size}")
     schedule = TrainSchedule.for_dataset(config, len(episodes))
     loaders = TaskLoaders(episodes, config.batch_size, config.seed)
     model = QuagParams(config)

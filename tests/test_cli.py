@@ -172,17 +172,18 @@ def test_adamw_beta_of_one_exits_1(tmp_path, capsys):
     assert not (tmp_path / "run").exists()  # refused before the run directory is made
 
 
-def test_run_config_with_caption_context_exits_1(tmp_path, capsys):
-    # caption_context is no longer a config field: a run written while it
-    # was one is refused by name, not half loaded
+@pytest.mark.parametrize("field,value", [
+    ("caption_context", "step"), ("ffn_dim", None), ("use_positional", True)])
+def test_run_config_with_a_dropped_field_exits_1(tmp_path, capsys, field, value):
+    # these are no longer config fields: a run written while one was is
+    # refused by name, not half loaded
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY_MODEL, "epochs": 1}))
     assert main(["gen", str(tmp_path / "corpus")]) == 0
     manifest = str(tmp_path / "corpus" / "manifest.json")
     assert main(["train", manifest, str(tmp_path / "run"), "--config", str(config)]) == 0
     run_config = tmp_path / "run" / "config.json"
-    run_config.write_text(json.dumps({**json.loads(run_config.read_text()),
-                                      "caption_context": "step"}))
+    run_config.write_text(json.dumps({**json.loads(run_config.read_text()), field: value}))
     capsys.readouterr()
     assert main(["predict", manifest, str(tmp_path / "run")]) == 1
-    assert "caption_context" in capsys.readouterr().err
+    assert f"unknown [{field!r}]" in capsys.readouterr().err

@@ -11,13 +11,13 @@ from quag.layers import (
     TransformerBlock,
     causal_mask,
     encoder_forward,
-    mha,
 )
 from quag.tensor import (
     ComputationTape,
     ShapeError,
     Tensor,
     attention_core,
+    concat_last,
     grad_check,
     layer_norm,
     masked_softmax,
@@ -48,20 +48,21 @@ def reference_attention(q, k, v, scale, mask=None):
     return w @ v
 
 
-def composed_mha(query, key, value, attn, mask=None):
-    """Multi-head attention composed of 16 graph nodes, as ``mha`` was before
-    the fused ``tensor.attention`` op: per projection a matmul, reshape and
-    transpose, then scores, scale, masked softmax, weighted sum, head merge
-    and ``wo``. The reference the fused op is held to."""
-    def heads(x, weight, axes):
-        return transpose(reshape(matmul(x, weight), (x.shape[0], attn.n_heads, -1)), axes)
-
-    q = heads(query, attn.wq, (1, 0, 2))
-    k = heads(key, attn.wk, (1, 2, 0))
-    v = heads(value, attn.wv, (1, 0, 2))
-    w = masked_softmax(matmul(q, k) * (1.0 / math.sqrt(q.shape[-1])), mask)
-    ctx = transpose(matmul(w, v), (1, 0, 2))
-    return matmul(reshape(ctx, (-1, attn.dim)), attn.wo)
+def composed_mha(attn, query, key, value, mask=None):
+    """Multi-head attention composed of rank-2 graph ops, the reference the
+    fused ``tensor.attention`` op is held to: the full-width projections,
+    then per head its channels' columns, scaled scores, masked softmax and
+    weighted sum, the heads joined in order and projected by ``wo``."""
+    q_t, k_t, v_t = (transpose(matmul(x, w)) for x, w in
+                     ((query, attn.wq), (key, attn.wk), (value, attn.wv)))
+    width = attn.dim // attn.n_heads
+    heads = []
+    for lo in range(0, attn.dim, width):
+        q, v = (transpose(slice_rows(x, lo, lo + width)) for x in (q_t, v_t))
+        scores = matmul(q, slice_rows(k_t, lo, lo + width)) * (1.0 / math.sqrt(width))
+        heads.append(matmul(masked_softmax(scores, mask), v))
+    ctx = concat_last(*heads) if len(heads) > 1 else heads[0]
+    return matmul(ctx, attn.wo)
 
 
 def attention_node(q, k, v, n_heads, mask=None):
@@ -92,8 +93,8 @@ def attention_node(q, k, v, n_heads, mask=None):
     return tensor._node(merge(ctx), (q, k, v), backward)
 
 
-def five_node_mha(query, key, value, attn, mask=None):
-    """Multi-head attention as five graph nodes, as ``mha`` was before
+def five_node_mha(attn, query, key, value, mask=None):
+    """Multi-head attention as five graph nodes, as it was before
     ``tensor.attention`` took the projections in: three input projections,
     the attention core and ``wo``. The fused node must equal it bit for bit."""
     ctx = attention_node(matmul(query, attn.wq), matmul(key, attn.wk), matmul(value, attn.wv),
@@ -112,7 +113,7 @@ def two_node_linear(x, layer):
 
 def core_weights(query, key, attn, mask=None):
     """The [h x Lq x Lk] attention weights of ``attn``, read from the numpy
-    core that ``mha`` runs on."""
+    core that it runs on."""
     split = (-1, attn.n_heads, attn.dim // attn.n_heads)
     q = (query.data @ attn.wq.data).reshape(split).transpose(1, 0, 2)
     k = (key.data @ attn.wk.data).reshape(split).transpose(1, 2, 0)
@@ -149,7 +150,7 @@ class TestMha:
         attn = identity_attention(3)
         q = Tensor(rng(4).standard_normal((5, 3)).astype(np.float32))
         kv = Tensor(rng(5).standard_normal((1, 3)).astype(np.float32))
-        out = mha(q, kv, kv, attn)
+        out = attn(q, kv, kv)
         np.testing.assert_allclose(core_weights(q, kv, attn)[0], np.ones((5, 1)))
         np.testing.assert_allclose(out.data, np.tile(kv.data, (5, 1)), rtol=1e-6)
 
@@ -158,7 +159,7 @@ class TestMha:
         q = Tensor(rng(6).standard_normal((3, 2)).astype(np.float32))
         k = Tensor(np.ones((4, 2), dtype=np.float32))
         v = Tensor(rng(7).standard_normal((4, 2)).astype(np.float32))
-        out = mha(q, k, v, attn)
+        out = attn(q, k, v)
         expected = np.tile(v.data.mean(axis=0), (3, 1))
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
@@ -167,7 +168,7 @@ class TestMha:
         q = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=np.float32)
         k = np.array([[1.0, 1.0], [-1.0, 0.5]], dtype=np.float32)
         v = np.array([[0.5, -0.5], [2.0, 1.0]], dtype=np.float32)
-        out = mha(Tensor(q), Tensor(k), Tensor(v), attn)
+        out = attn(Tensor(q), Tensor(k), Tensor(v))
         expected = reference_attention(q, k, v, scale=1.0 / np.sqrt(2.0))
         np.testing.assert_allclose(out.data, expected, atol=1e-5)
 
@@ -177,8 +178,8 @@ class TestMha:
         k = rng(10).standard_normal((6, 8)).astype(np.float32)
         v = rng(11).standard_normal((6, 8)).astype(np.float32)
         perm = np.random.default_rng(12).permutation(6)
-        out = mha(q, Tensor(k), Tensor(v), attn)
-        out_perm = mha(q, Tensor(k[perm]), Tensor(v[perm]), attn)
+        out = attn(q, Tensor(k), Tensor(v))
+        out_perm = attn(q, Tensor(k[perm]), Tensor(v[perm]))
         np.testing.assert_allclose(out.data, out_perm.data, atol=1e-6)
 
     def test_masked_keys_get_zero_weight(self):
@@ -197,14 +198,14 @@ class TestMha:
         mask = np.zeros((2, 3), dtype=bool)
         mask[1, :] = True
         with pytest.raises(ValueError, match="masked"):
-            mha(q, kv, kv, attn, mask=mask)
+            attn(q, kv, kv, mask=mask)
 
     def test_dimension_mismatch(self):
         attn = MultiHeadAttention.create(rng(19), 4, 2)
         with pytest.raises(ShapeError):
-            mha(Tensor(np.zeros((2, 6), dtype=np.float32)),
-                Tensor(np.zeros((2, 4), dtype=np.float32)),
-                Tensor(np.zeros((2, 4), dtype=np.float32)), attn)
+            attn(Tensor(np.zeros((2, 6), dtype=np.float32)),
+                 Tensor(np.zeros((2, 4), dtype=np.float32)),
+                 Tensor(np.zeros((2, 4), dtype=np.float32)))
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ShapeError):
@@ -215,7 +216,7 @@ class TestMha:
         q = Tensor(rng(22).standard_normal((3, 4)).astype(np.float32), requires_grad=True)
         kv = Tensor(rng(23).standard_normal((2, 4)).astype(np.float32), requires_grad=True)
         params = [q, kv, attn.wq, attn.wk, attn.wv, attn.wo]
-        err = grad_check(lambda: sum_all(mha(q, kv, kv, attn) * mha(q, kv, kv, attn)),
+        err = grad_check(lambda: sum_all(attn(q, kv, kv) * attn(q, kv, kv)),
                          params, h=1e-3, max_coords=6)
         assert err < 1e-4
 
@@ -228,7 +229,7 @@ class TestMha:
         key = rng(43).standard_normal((n_k, dim)).astype(np.float32)
         value = rng(44).standard_normal((n_k, dim)).astype(np.float32)
         mask = causal_mask(n_q) if causal else None
-        out = mha(Tensor(query), Tensor(key), Tensor(value), attn, mask=mask)
+        out = attn(Tensor(query), Tensor(key), Tensor(value), mask=mask)
         assert core_weights(Tensor(query), Tensor(key), attn, mask).shape == (n_heads, n_q, n_k)
 
         wq, wk, wv, wo = (m.data.astype(np.float64) for m in (attn.wq, attn.wk, attn.wv, attn.wo))
@@ -247,9 +248,9 @@ class TestMha:
         attn = MultiHeadAttention.create(rng(48), 8, n_heads)
         query = Tensor(rng(49).standard_normal((3, 8)).astype(np.float32))
         kv = Tensor(rng(50).standard_normal((4, 8)).astype(np.float32))
-        rows = mha(query, kv, kv, attn).data
+        rows = attn(query, kv, kv).data
         for i in range(3):
-            one = mha(slice_rows(query, i, i + 1), kv, kv, attn).data
+            one = attn(slice_rows(query, i, i + 1), kv, kv).data
             np.testing.assert_allclose(one, rows[i:i + 1], atol=1e-6)
 
     def test_gradient_single_query(self):
@@ -258,7 +259,7 @@ class TestMha:
         kv = Tensor(rng(53).standard_normal((3, 8)).astype(np.float32), requires_grad=True)
         w = Tensor(rng(54).standard_normal((1, 8)).astype(np.float32))
         params = [q, kv, attn.wq, attn.wk, attn.wv, attn.wo]
-        err = grad_check(lambda: sum_all(mha(q, kv, kv, attn) * w), params, h=1e-3,
+        err = grad_check(lambda: sum_all(attn(q, kv, kv) * w), params, h=1e-3,
                          max_coords=12)
         assert err < 1e-4
 
@@ -267,13 +268,13 @@ class TestMha:
         x = Tensor(rng(46).standard_normal((4, 8)).astype(np.float32), requires_grad=True)
         w = Tensor(rng(47).standard_normal((4, 8)).astype(np.float32))
         params = [x, attn.wq, attn.wk, attn.wv, attn.wo]
-        err = grad_check(lambda: sum_all(mha(x, x, x, attn, mask=causal_mask(4)) * w),
+        err = grad_check(lambda: sum_all(attn(x, x, x, mask=causal_mask(4)) * w),
                          params, h=1e-3, max_coords=12)
         assert err < 1e-4
 
 
 class TestFusedAgainstComposed:
-    """``mha`` on the fused op against ``composed_mha``: the forward does the
+    """The fused attention against ``composed_mha``: the forward does the
     same float32 arithmetic, so it is bit-equal; the hand-written backward is
     free to sum in another order, so gradients are held to float32 rounding."""
 
@@ -290,10 +291,10 @@ class TestFusedAgainstComposed:
         upstream = Tensor(g.standard_normal((n_q, dim)).astype(np.float32))
         params = inputs + [attn.wq, attn.wk, attn.wv, attn.wo]
         outs, grads = [], []
-        for f in (mha, composed_mha):
+        for f in (MultiHeadAttention.__call__, composed_mha):
             for p in params:
                 p.grad = None
-            out = f(*inputs, attn, mask=mask)
+            out = f(attn, *inputs, mask=mask)
             sum_all(out * upstream).backward()
             outs.append(out.data)
             grads.append([p.grad for p in params])
@@ -308,10 +309,11 @@ class TestFusedAgainstComposed:
         y = Tensor(rng(64).standard_normal((3, 16)).astype(np.float32), requires_grad=True)
         # x, y and the four weights are the leaves; the fused attention is
         # the one op node, where the five-node form had the three input
-        # projections, the attention core and wo.
-        assert len(ComputationTape.trace(mha(x, y, y, attn)).nodes) == 6 + 1
-        assert len(ComputationTape.trace(five_node_mha(x, y, y, attn)).nodes) == 6 + 5
-        assert len(ComputationTape.trace(composed_mha(x, y, y, attn)).nodes) == 6 + 16
+        # projections, the attention core and wo, and the composed form has
+        # 3 projections, 3 transposes, 9 nodes per head, the join and wo.
+        assert len(ComputationTape.trace(attn(x, y, y)).nodes) == 6 + 1
+        assert len(ComputationTape.trace(five_node_mha(attn, x, y, y)).nodes) == 6 + 5
+        assert len(ComputationTape.trace(composed_mha(attn, x, y, y)).nodes) == 6 + 3 + 3 + 4 * 9 + 2
 
 
 def forward_and_grads(f, inputs, params, upstream):
@@ -325,7 +327,7 @@ def forward_and_grads(f, inputs, params, upstream):
 
 
 class TestOneNodeAgainstParent:
-    """The one-node ``mha`` and ``LinearLayer`` against the five-node and
+    """The one-node attention and ``LinearLayer`` against the five-node and
     two-node forms they replace: the same float32 arithmetic, added into
     each input in the same order (value, key, query), so the value and
     every gradient are bit-equal, also for inputs shared between roles."""
@@ -343,8 +345,9 @@ class TestOneNodeAgainstParent:
         mask = key_masks(n_q, n_k)[mask_kind]
         upstream = Tensor(g.standard_normal((n_q, 16)).astype(np.float32))
         params = list(dict.fromkeys(inputs)) + [attn.wq, attn.wk, attn.wv, attn.wo]
-        got, want = (forward_and_grads(lambda *x: f(*x, attn, mask=mask), inputs, params,
-                                       upstream) for f in (mha, five_node_mha))
+        got, want = (forward_and_grads(lambda *x: f(attn, *x, mask=mask), inputs, params,
+                                       upstream)
+                     for f in (MultiHeadAttention.__call__, five_node_mha))
         assert np.array_equal(got[0], want[0])
         for a, b in zip(got[1], want[1]):
             assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
@@ -440,13 +443,6 @@ def test_parameter_names_are_unique_and_ordered():
 
 @pytest.mark.parametrize("decoder", [False, True], ids=["encoder", "decoder"])
 class TestFeedForwardWidth:
-    def test_none_means_four_times_dim_and_a_width_is_kept(self, decoder):
+    def test_four_times_dim(self, decoder):
         block = TransformerBlock.create(rng(41), 8, 2, decoder=decoder)
-        assert block.ffn_in.weight.shape == (8, 32)
-        block = TransformerBlock.create(rng(41), 8, 2, 3, decoder=decoder)
-        assert block.ffn_in.weight.shape == (8, 3) and block.ffn_out.weight.shape == (3, 8)
-
-    @pytest.mark.parametrize("ffn_dim", [0, -3])
-    def test_width_below_one_rejected(self, decoder, ffn_dim):
-        with pytest.raises(ValueError, match="ffn_dim"):
-            TransformerBlock.create(rng(42), 8, 2, ffn_dim, decoder=decoder)
+        assert block.ffn_in.weight.shape == (8, 32) and block.ffn_out.weight.shape == (32, 8)

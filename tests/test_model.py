@@ -66,16 +66,12 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_heads", 0), ("n_heads", -2), ("beam_width", 0), ("beam_width", -1),
         ("dropout", 1.0), ("dropout", -0.1), ("dropout", float("nan")),
-        ("tau", float("nan")), ("lam", float("nan")), ("lr", -1e-3), ("ffn_dim", 0),
+        ("tau", float("nan")), ("lam", float("nan")), ("lr", -1e-3),
         ("encoder_layers", -1), ("decoder_layers", -1),
     ])
     def test_out_of_range_fields_raise_value_error(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value}).validate()
-
-    def test_ffn_dim_none_means_four_times_d_model(self):
-        assert QuagParams(tiny_config(ffn_dim=None)).encoder[0].ffn_in.weight.shape == (8, 32)
-        assert QuagParams(tiny_config(ffn_dim=12)).encoder[0].ffn_in.weight.shape == (8, 12)
 
     def test_roundtrip_and_digest(self):
         cfg = tiny_config(lam=0.3)
@@ -161,8 +157,8 @@ class TestRegistry:
 
     def test_compatibility_names_for_the_benchmark_walk(self):
         # bench/walk.py passes params.boundary_marker and reads
-        # config.caption_context until ROADMAP item 1b; these four names keep
-        # it running, and go once it stops.
+        # config.caption_context and config.use_positional until ROADMAP item
+        # 1b; these five names keep it running, and go once it stops.
         config = tiny_config()
         params = QuagParams(config)
         assert QuagParams.boundary_marker is None and params.boundary_marker is None
@@ -173,6 +169,10 @@ class TestRegistry:
             ModelConfig(caption_context="moment")
         with pytest.raises(ValueError, match="caption_context"):
             ModelConfig.from_dict({"caption_context": "step"})
+        assert config.use_positional is True
+        assert "use_positional" not in config.to_dict()
+        with pytest.raises(ValueError, match="use_positional"):
+            ModelConfig.from_dict({"use_positional": True})
         frames = trunk(make_episode(), params)
         state = StepBoundaryState(span=(1, 4), n_frames=6, boundaries=[2])
         assert np.array_equal(
@@ -510,7 +510,7 @@ class TestGraphSize:
     """Graph nodes, leaves included, of one tiny-corpus batch per task: a
     pure function of the code, unlike a count taken over the batches a timed
     run happens to reach. With the 16-node composed attention the counts were
-    516, 505 and 751; the fused attention core (5 nodes per ``mha``) gave 340,
+    516, 505 and 751; the fused attention core (5 nodes per attention) gave 340,
     329 and 465, and a broadcasting ``concat_last`` in QC² 332, 321 and 457.
     One node per layer, ``tensor.attention`` with its projections and
     ``tensor.affine`` for every linear, gave 220, 212 and 298, and dropping
@@ -532,7 +532,7 @@ def test_backward_frees_interior_gradients_and_matches_parent_layers(
         tiny_corpus, monkeypatch, task):
     """After one tiny-corpus batch's backward no op node holds a gradient,
     and every parameter gradient equals, bit for bit, the one that one trunk
-    per episode gives with the five-node ``mha`` and two-node ``linear``."""
+    per episode gives with the five-node attention and two-node ``linear``."""
     from test_layers import five_node_mha, two_node_linear
 
     def grads(loss_fn):
@@ -543,7 +543,7 @@ def test_backward_frees_interior_gradients_and_matches_parent_layers(
 
     nodes, got = grads(batch_loss)
     assert all(n.grad is None for n in nodes if n._backward is not None)
-    monkeypatch.setattr(layers, "mha", five_node_mha)
+    monkeypatch.setattr(layers.MultiHeadAttention, "__call__", five_node_mha)
     monkeypatch.setattr(layers.LinearLayer, "__call__", lambda self, x: two_node_linear(x, self))
     parent_nodes, want = grads(per_episode_batch_loss)
     assert len(parent_nodes) > len(nodes)

@@ -74,20 +74,6 @@ class TestMatmul:
         err = grad_check(lambda: sum_all(matmul(a, b)), [a, b], h=1e-3)
         assert err < 1e-4
 
-    def test_stacked_matches_per_slice_products(self):
-        a, b = rand((3, 2, 4), seed=40), rand((3, 4, 5), seed=41)
-        out = matmul(Tensor(a), Tensor(b))
-        assert out.shape == (3, 2, 5)
-        for i in range(3):
-            np.testing.assert_array_equal(out.data[i], a[i] @ b[i])
-
-    def test_stacked_gradient(self):
-        a = Tensor(rand((2, 3, 4), seed=42), requires_grad=True)
-        b = Tensor(rand((2, 4, 2), seed=43), requires_grad=True)
-        w = Tensor(rand((2, 3, 2), seed=44))
-        err = grad_check(lambda: sum_all(matmul(a, b) * w), [a, b], h=1e-3)
-        assert err < 1e-4
-
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((2, 3, 4), (3, 4, 5)),   # leading extents differ
         ((2, 3, 4), (4, 5)),      # ranks differ
@@ -312,24 +298,9 @@ class TestStructuralOps:
         err = grad_check(lambda: sum_all(transpose(x) * w), [x], h=1e-3)
         assert err < 1e-4
 
-    @pytest.mark.parametrize("axes", [(1, 0, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2)])
-    def test_transpose_axes_values_and_grad(self, axes):
-        x = Tensor(rand((2, 3, 4), seed=45), requires_grad=True)
-        out = transpose(x, axes)
-        np.testing.assert_array_equal(out.data, np.transpose(x.data, axes))
-        assert out.data.flags.c_contiguous
-        assert not np.shares_memory(out.data, x.data)
-        w = Tensor(rand(out.shape, seed=46))
-        err = grad_check(lambda: sum_all(transpose(x, axes) * w), [x], h=1e-3)
-        assert err < 1e-4
-
-    def test_transpose_rejects_bad_axes(self):
-        x = Tensor(rand((2, 3, 4)))
+    def test_transpose_rejects_rank_3(self):
         with pytest.raises(ShapeError, match="rank-2"):
-            transpose(x)
-        for axes in [(0, 1), (0, 0, 1), (1, 2, 3)]:
-            with pytest.raises(ShapeError, match="permutation"):
-                transpose(x, axes)
+            transpose(Tensor(rand((2, 3, 4))))
 
     def test_reshape_grad(self):
         x = Tensor(rand((2, 6), seed=17), requires_grad=True)

@@ -15,7 +15,7 @@ from conftest import tiny_config
 from quag import trainer
 from quag.losses import TASKS, total_loss
 from quag.model import QuagParams, predict
-from quag.tensor import Tensor, sum_all
+from quag.tensor import ShapeError, Tensor, sum_all
 from quag.trainer import (
     AdamW,
     CheckpointError,
@@ -718,6 +718,16 @@ class TestTrainEntryPoint:
             assert entry["total"] == pytest.approx(
                 entry["task_loss"] + config.lam * entry["msp_loss"], abs=1e-5
             )
+
+    @pytest.mark.parametrize("field,value", [
+        ("vocab_size", 10), ("max_frames", 8), ("visual_dim", 11)])
+    def test_config_that_does_not_fit_the_manifest_leaves_no_run_dir(
+            self, tiny_corpus, tmp_path, field, value):
+        # the tiny corpus has 16 tokens, 12 frames and visual dim 10
+        config = tiny_config(tiny_corpus).replace(**{field: value})
+        with pytest.raises(ShapeError):
+            train(config, tiny_corpus, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_resume_matches_uninterrupted_run(self, tiny_corpus, tmp_path):
         self.check_resume(tiny_config(tiny_corpus, epochs=4), tiny_corpus, tmp_path)
