@@ -443,6 +443,8 @@ def test_parameter_names_are_unique_and_ordered():
 
 @pytest.mark.parametrize("decoder", [False, True], ids=["encoder", "decoder"])
 class TestFeedForwardWidth:
-    def test_four_times_dim(self, decoder):
-        block = TransformerBlock.create(rng(41), 8, 2, decoder=decoder)
-        assert block.ffn_in.weight.shape == (8, 32) and block.ffn_out.weight.shape == (32, 8)
+    @pytest.mark.parametrize("dim,n_heads", [(8, 2), (4, 1), (12, 3)])
+    def test_four_times_dim(self, decoder, dim, n_heads):
+        block = TransformerBlock.create(rng(41), dim, n_heads, decoder=decoder)
+        assert block.ffn_in.weight.shape == (dim, 4 * dim)
+        assert block.ffn_out.weight.shape == (4 * dim, dim)

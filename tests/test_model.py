@@ -73,6 +73,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value}).validate()
 
+    @pytest.mark.parametrize("d_model", [8, 12])
+    def test_feed_forward_width_is_four_times_d_model(self, d_model):
+        params = QuagParams(tiny_config(d_model=d_model))
+        for block in params.encoder + params.decoder.blocks:
+            assert block.ffn_in.weight.shape == (d_model, 4 * d_model)
+            assert block.ffn_out.weight.shape == (4 * d_model, d_model)
+
     def test_roundtrip_and_digest(self):
         cfg = tiny_config(lam=0.3)
         again = ModelConfig.from_dict(cfg.to_dict())

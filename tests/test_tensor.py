@@ -74,7 +74,15 @@ class TestMatmul:
         err = grad_check(lambda: sum_all(matmul(a, b)), [a, b], h=1e-3)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 4), (5, 1)])
+    def test_equals_the_numpy_product(self, m, n):
+        a, b = rand((m, 3), seed=40), rand((3, n), seed=41)
+        out = matmul(Tensor(a), Tensor(b))
+        assert out.shape == (m, n)
+        np.testing.assert_array_equal(out.data, a @ b)
+
     @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (2, 4, 5)),   # a stack of products: rank 2 only
         ((2, 3, 4), (3, 4, 5)),   # leading extents differ
         ((2, 3, 4), (4, 5)),      # ranks differ
         ((3, 4), (2, 4, 5)),
@@ -295,6 +303,17 @@ class TestStructuralOps:
     def test_transpose_roundtrip_and_grad(self):
         x = Tensor(rand((3, 2), seed=15), requires_grad=True)
         w = Tensor(rand((2, 3), seed=16))
+        err = grad_check(lambda: sum_all(transpose(x) * w), [x], h=1e-3)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 1), (1, 5)], ids=str)
+    def test_transpose_values_copy_and_grad(self, shape):
+        x = Tensor(rand(shape, seed=45), requires_grad=True)
+        out = transpose(x)
+        np.testing.assert_array_equal(out.data, x.data.T)
+        assert out.data.flags.c_contiguous
+        assert not np.shares_memory(out.data, x.data)
+        w = Tensor(rand(out.shape, seed=46))
         err = grad_check(lambda: sum_all(transpose(x) * w), [x], h=1e-3)
         assert err < 1e-4
 
