@@ -11,6 +11,11 @@ does), trains the workload's config once and prints the sha256 of:
 - ``predict`` on every held-out episode, untrained and trained, at beam
   widths 1 and 3.
 
+The benchmark corpora each have one frame count. The ``mixed`` group trains
+train-desk's config on 16 episodes of 24 and 32 frames under one manifest,
+and predicts on those same episodes, so batches that hold both lengths are
+covered too.
+
 ``quag`` and ``bench/workloads.py`` are imported from CHECKOUT, so run it
 once on each checkout and compare the two outputs line by line.
 """
@@ -32,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 SEED = 1
 BEAM_WIDTHS = (1, 3)
+MIXED_FRAMES = (24, 32)  # one corpus part of 8 episodes per frame count
 
 
 def sha256(data: bytes) -> str:
@@ -53,13 +59,36 @@ def predictions(model, episodes) -> bytes:
     return json.dumps([dataclasses.asdict(predict(ep, model)) for ep in episodes]).encode()
 
 
+def mixed_corpus(out: Path):
+    """One manifest over 8 episodes of each ``MIXED_FRAMES`` length, each
+    length's part generated from its own seed drawn from ``SEED``."""
+    import numpy as np
+
+    from quag.data import SyntheticSpec, generate_synthetic_dataset
+
+    parts = [generate_synthetic_dataset(out / f"len{n}", SyntheticSpec(
+                 seed=int(seed), n_episodes=8, n_frames=n, split=f"len{n}"))
+             for n, seed in zip(MIXED_FRAMES,
+                                np.random.SeedSequence(SEED).generate_state(len(MIXED_FRAMES)))]
+    # Every part has the same vocabulary: it depends on vocab_size alone.
+    manifest = dataclasses.replace(
+        parts[-1], split="train", generator=None, root=out, n_frames=max(MIXED_FRAMES),
+        vocab_path=f"{parts[-1].split}/{parts[-1].vocab_path}",
+        episode_paths=[f"{m.split}/{rel}" for m in parts for rel in m.episode_paths])
+    return manifest
+
+
 def fingerprint(name: str, work: Path) -> list[tuple[str, str]]:
     from quag.model import ModelConfig, QuagParams
     from quag.trainer import load_params_for_eval, train
     from workloads import WORKLOADS, generate_corpus
 
-    wl = WORKLOADS[name]
-    train_m, held_m, _ = generate_corpus(wl, SEED, work / "corpus")
+    if name == "mixed":
+        wl = WORKLOADS["train-desk"]
+        train_m = held_m = mixed_corpus(work / "corpus")
+    else:
+        wl = WORKLOADS[name]
+        train_m, held_m, _ = generate_corpus(wl, SEED, work / "corpus")
     config = ModelConfig.for_manifest(train_m, base=wl.base)
     heldout = held_m.load_episodes()
     rows = [(f"predict.untrained.beam{w}",
@@ -84,7 +113,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from workloads import WORKLOADS
 
-    for name in WORKLOADS:
+    for name in [*WORKLOADS, "mixed"]:
         with tempfile.TemporaryDirectory(prefix="quag-fingerprint-") as tmp:
             for label, digest in fingerprint(name, Path(tmp)):
                 print(f"{name} {label} {digest}", flush=True)

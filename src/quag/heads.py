@@ -207,8 +207,8 @@ class CaptionDecoder:
         yield from self.out.named_params(f"{prefix}.out")
 
     def teacher_forced_logits(self, memory: Tensor, input_ids: Sequence[int],
-                              drop_rate: float = 0.0,
-                              rng: Optional[np.random.Generator] = None) -> Tensor:
+                              _rate=None, _rng=None,  # ignored: for bench/walk.py until ROADMAP 1b
+                              ) -> Tensor:
         """Causal forward over the given input ids; returns [len x V] logits."""
         ids = list(input_ids)
         if not ids:
@@ -221,7 +221,7 @@ class CaptionDecoder:
             raise IndexError(f"token id outside vocabulary of size {self.vocab_size}")
         x = embed_rows(self.embed, ids) + slice_rows(self.pos, 0, len(ids))
         for block in self.blocks:
-            x = block(x, memory, drop_rate=drop_rate, rng=rng)
+            x = block(x, memory)
         return self.out(x)
 
     def greedy_decode(self, memories: Sequence[Tensor], max_len: int) -> list[list[int]]:

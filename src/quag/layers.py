@@ -30,7 +30,6 @@ from quag.tensor import (
     gelu_core,
     layer_norm,
     layer_norm_core,
-    mul,
 )
 
 __all__ = [
@@ -40,21 +39,12 @@ __all__ = [
     "encoder_forward",
     "xavier_uniform",
     "causal_mask",
-    "dropout",
 ]
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(np.float32)
-
-
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no generator is supplied."""
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return mul(x, Tensor(keep))
 
 
 class LinearLayer:
@@ -158,21 +148,19 @@ class TransformerBlock:
             [Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True) for _ in range(2 + decoder)],
         )
 
-    def _sublayer(self, i: int, x: Tensor, y: Tensor, drop_rate: float = 0.0,
-                  rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Residual, dropout and layer norm i around sublayer output ``y``."""
-        return layer_norm(x + dropout(y, drop_rate, rng), self.ln_gains[i], self.ln_biases[i])
+    def _sublayer(self, i: int, x: Tensor, y: Tensor) -> Tensor:
+        """Residual and layer norm i around sublayer output ``y``."""
+        return layer_norm(x + y, self.ln_gains[i], self.ln_biases[i])
 
-    def __call__(self, x: Tensor, memory: Optional[Tensor] = None, *,
-                 drop_rate: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+    def __call__(self, x: Tensor, memory: Optional[Tensor] = None) -> Tensor:
         """The block over [L x D] rows; a decoder block also needs the
         ``memory`` [M x D] it cross-attends to."""
         decoder = self.cross_attn is not None
         mask = causal_mask(x.shape[0]) if decoder else None
-        h = self._sublayer(0, x, self.self_attn(x, x, x, mask=mask), drop_rate, rng)
+        h = self._sublayer(0, x, self.self_attn(x, x, x, mask=mask))
         if decoder:
-            h = self._sublayer(1, h, self.cross_attn(h, memory, memory), drop_rate, rng)
-        return self._sublayer(-1, h, self.ffn_out(gelu(self.ffn_in(h))), drop_rate, rng)
+            h = self._sublayer(1, h, self.cross_attn(h, memory, memory))
+        return self._sublayer(-1, h, self.ffn_out(gelu(self.ffn_in(h))))
 
     def start_cache(self, memory: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
         """The ``step`` cache of a decoder block for R = ``rows`` rows, row r
@@ -208,7 +196,7 @@ class TransformerBlock:
         merges its heads by a reshape alone; layer norm and GELU run
         ``layer_norm_core`` and ``gelu_core``. Returns the block output for
         those positions, equal to the last row of ``__call__`` over each
-        whole sequence and its own memory without dropout, and the cache with
+        whole sequence and its own memory, and the cache with
         their self-attention keys and values appended.
         """
         past_k, past_v, mem_k, mem_v = cache
@@ -223,7 +211,7 @@ class TransformerBlock:
         return h, (keys, values, mem_k, mem_v)
 
     def _step_norm(self, i: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``_sublayer`` without dropout, on arrays."""
+        """``_sublayer`` on arrays."""
         return layer_norm_core(x + y, self.ln_gains[i].data, self.ln_biases[i].data)[0]
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -249,9 +237,10 @@ def _cached_attention(attn: MultiHeadAttention, x: np.ndarray, keys: np.ndarray,
     return ctx.reshape(rows, -1) @ attn.wo.data
 
 
-def encoder_forward(x: Tensor, blocks: Sequence[TransformerBlock], drop_rate: float = 0.0,
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
+def encoder_forward(x: Tensor, blocks: Sequence[TransformerBlock],
+                    _rate=None, _rng=None,  # ignored: for bench/walk.py until ROADMAP 1b
+                    ) -> Tensor:
     """Apply encoder blocks in sequence; shape is preserved."""
     for block in blocks:
-        x = block(x, drop_rate=drop_rate, rng=rng)
+        x = block(x)
     return x

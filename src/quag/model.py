@@ -64,9 +64,10 @@ class ModelConfig:
     tau: float = 0.07
     lam: float = 0.1
     normalize_contrastive: bool = False
-    # Not fields, fixed: bench/walk.py reads both names until ROADMAP 1b.
+    # Not fields, fixed: bench/walk.py reads these names until ROADMAP 1b.
     use_positional: ClassVar[bool] = True
     caption_context: ClassVar[str] = "step"
+    dropout: ClassVar[float] = 0.0
     fusion: str = "quag"
     beam_width: int = 1
     lr: float = 1e-5
@@ -76,7 +77,6 @@ class ModelConfig:
     eps: float = 1e-8
     weight_decay: float = 0.01
     epochs: int = 50
-    dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -105,8 +105,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.beam_width < 1:
             raise ValueError(f"beam_width must be >= 1, got {self.beam_width}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("d_model", "visual_dim", "audio_dim", "query_dim", "vocab_size",
                      "max_frames", "max_caption_len", "max_steps", "batch_size", "epochs"):
             if getattr(self, name) < 1:
@@ -127,11 +125,10 @@ class ModelConfig:
         """SHA-256 of the canonical config less ``epochs``, ``beam_width``, ``max_steps``.
 
         A checkpoint only loads into a config with the same digest. ``epochs``
-        only sets how long the loop runs: batch order, dropout streams and
-        AdamW steps are seeded by (seed, epoch, task), so epoch k does the
-        same work whatever the total, and a checkpoint may resume into a
-        longer run. Only ``predict`` reads the other two; every other field
-        changes what training computes."""
+        only sets how long the loop runs: batch order is seeded by (seed,
+        epoch, task), so epoch k does the same work whatever the total, and a
+        checkpoint may resume into a longer run. Only ``predict`` reads the
+        other two; every other field changes what training computes."""
         doc = self.to_dict()
         for name in ("epochs", "beam_width", "max_steps"):
             del doc[name]
@@ -256,7 +253,6 @@ def _check_dims(episode: EpisodeRecord, config: ModelConfig) -> None:
 
 
 def encode_trunk(episode: EpisodeRecord, params: QuagParams,
-                 rng: Optional[np.random.Generator] = None,
                  ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
     """Project, fuse, gate and encode one episode.
 
@@ -264,28 +260,25 @@ def encode_trunk(episode: EpisodeRecord, params: QuagParams,
     visual/audio features (None when the alignment stack is ablated away).
     """
     _check_dims(episode, params.config)
-    return _trunk(episode.visual, episode.audio, episode.query, params, rng)
+    return _trunk(episode.visual, episode.audio, episode.query, params)
 
 
 def encode_stacked(episodes: Sequence[EpisodeRecord], params: QuagParams,
-                   rng: Optional[np.random.Generator] = None,
                    ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
     """``encode_trunk`` of B equal-length episodes as one graph over stacked
     arrays: [B, N, D] enhanced and [B, D] pooled features. Episode b's values
     and every parameter gradient equal those of B ``encode_trunk`` calls bit
-    for bit (``tensor``'s leading-axis rule); with dropout, the masks are
-    drawn per layer over the whole stack."""
+    for bit (``tensor``'s leading-axis rule)."""
     if len({ep.n_frames for ep in episodes}) != 1:
         raise ShapeError("encode_stacked needs one or more episodes of equal length")
     for ep in episodes:
         _check_dims(ep, params.config)
     return _trunk(np.stack([ep.visual for ep in episodes]),
                   np.stack([ep.audio for ep in episodes]),
-                  np.stack([ep.query for ep in episodes])[:, None, :], params, rng)
+                  np.stack([ep.query for ep in episodes])[:, None, :], params)
 
 
 def _trunk(visual: np.ndarray, audio: np.ndarray, query: np.ndarray, params: QuagParams,
-           rng: Optional[np.random.Generator],
            ) -> tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
     """The trunk over one episode's [N, ·] frames and [Dq] query, or over
     [B, N, ·] frames and [B, 1, Dq] queries."""
@@ -311,7 +304,7 @@ def _trunk(visual: np.ndarray, audio: np.ndarray, query: np.ndarray, params: Qua
     else:
         rep = fused * r_t
 
-    enhanced = encoder_forward(rep, params.encoder, params.config.dropout, rng)
+    enhanced = encoder_forward(rep, params.encoder)
     return enhanced, pooled_v, pooled_a
 
 

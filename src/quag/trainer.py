@@ -187,8 +187,19 @@ class TaskLoaders:
         ]
 
 
+def _check_teacher_forcing(ep: EpisodeRecord, task: str) -> None:
+    """Raise ``ValueError`` naming ``ep`` if ``task`` has nothing in it to
+    teacher-force; a one-frame episode's moment is single-frame."""
+    if task == "seg" and not ep.steps:
+        raise ValueError(f"episode {ep.id} has no step annotations for teacher forcing")
+    if task == "seg" and ep.moment[0] == ep.moment[1]:
+        raise ValueError(f"episode {ep.id}: single-frame moment has no step instances to train on")
+    if task == "cap" and not ep.captions:
+        raise ValueError(f"episode {ep.id} has no captions for teacher forcing")
+
+
 def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
-               lam: float, rng: Optional[np.random.Generator] = None) -> LossBundle:
+               lam: float) -> LossBundle:
     """One round-robin iteration's objective on a batch of episodes.
 
     The trunk runs once per group of equal-length episodes, on stacked
@@ -198,11 +209,9 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
     (zero when the fusion mode has no alignment stack), which ``total_loss``
     adds to the task loss.
 
-    Without dropout, losses and gradients equal those of one
-    ``encode_trunk`` graph per episode bit for bit, as long as each length's
-    episodes follow each other in the batch (a single length always does);
-    interleaved lengths add the groups' parameter gradients in another
-    order. With dropout, the trunk's masks are drawn per layer over a group.
+    Losses and gradients equal those of one ``encode_trunk`` graph per
+    episode bit for bit unless frame counts interleave in the batch: the
+    groups' parameter gradients then add in another order.
     """
     if not episodes:
         raise ValueError("batch_loss needs at least one episode")
@@ -212,17 +221,11 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
     groups: dict[int, list[EpisodeRecord]] = {}  # by frame count
     slots = []  # each episode's index in its group
     for ep in episodes:
-        if task == "seg" and not ep.steps:
-            raise ValueError(f"episode {ep.id} has no step annotations for teacher forcing")
-        if task == "seg" and ep.moment[0] == ep.moment[1]:
-            raise ValueError(
-                f"episode {ep.id}: single-frame moment has no step instances to train on")
-        if task == "cap" and not ep.captions:
-            raise ValueError(f"episode {ep.id} has no captions for teacher forcing")
+        _check_teacher_forcing(ep, task)
         group = groups.setdefault(ep.n_frames, [])
         slots.append(len(group))
         group.append(ep)
-    trunks = {n: encode_stacked(group, model, rng) for n, group in groups.items()}
+    trunks = {n: encode_stacked(group, model) for n, group in groups.items()}
     heads, targets, masks = [], [], []
     for ep, slot in zip(episodes, slots):
         enhanced = take_episode(trunks[ep.n_frames][0], slot)
@@ -240,7 +243,7 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
             for (lo, hi), caption in zip(step_frame_spans(ep.moment[0], ep.steps), ep.captions):
                 clipped = list(caption[: config.max_caption_len - 1])
                 heads.append(model.decoder.teacher_forced_logits(
-                    slice_rows(enhanced, lo, hi + 1), [BOS] + clipped, config.dropout, rng))
+                    slice_rows(enhanced, lo, hi + 1), [BOS] + clipped))
                 targets.append(clipped + [EOS])
     _, pooled_v, pooled_a = trunks[episodes[0].n_frames]
     if pooled_v is None:
@@ -262,11 +265,11 @@ def batch_loss(episodes: Sequence[EpisodeRecord], model: QuagParams, task: str,
 
 
 def train_step(episodes: Sequence[EpisodeRecord], model: QuagParams, optimizer: AdamW,
-               task: str, lam: float, rng: Optional[np.random.Generator] = None) -> LossBundle:
+               task: str, lam: float) -> LossBundle:
     """One AdamW step on ``batch_loss``: backward adds every gradient straight
     into its slot of the optimizer's zeroed gradient buffer."""
     optimizer.zero_grads()
-    bundle = batch_loss(episodes, model, task, lam, rng)
+    bundle = batch_loss(episodes, model, task, lam)
     bundle.total.backward()
     optimizer.step()
     return bundle
@@ -279,18 +282,15 @@ def round_robin_epoch(model: QuagParams, loaders: TaskLoaders, schedule: TrainSc
     """Cycle ret -> seg -> cap, one batch per iteration; returns per-task means.
 
     Iteration ``i`` trains on batch ``i // len(TASKS)`` of its task's epoch
-    batches; ``lam`` and the dropout seed come from ``model.config``.
+    batches; ``lam`` comes from ``model.config``.
     """
-    config = model.config
     streams = {task: loaders.epoch_batches(task, epoch) for task in TASKS}
     losses: dict[str, list[float]] = {task: [] for task in TASKS}
-    drop_rng = np.random.default_rng(np.random.SeedSequence((config.seed, epoch, 997))) \
-        if config.dropout > 0 else None
     for i in range(schedule.iterations_per_epoch):
         task = schedule.task_at(i)
         batches = streams[task]
         bundle = train_step(batches[(i // len(TASKS)) % len(batches)], model, optimizer, task,
-                            config.lam, drop_rng)
+                            model.config.lam)
         losses[task].append(bundle.task_loss.item())
         if on_iteration is not None:
             on_iteration(i, bundle)
@@ -502,12 +502,15 @@ def train(config: ModelConfig, manifest: DatasetManifest, out_dir: Path,
     as the most recent good state. A run resumed into a directory that
     already has a log keeps its lines for the epochs before the checkpoint's
     and writes the rest anew, so the log reads as if the run never stopped.
-    A config that does not fit the manifest raises ``ShapeError`` first.
+    A config that does not fit the manifest raises ``ShapeError`` first, and
+    an episode some task cannot teacher-force on ``ValueError``.
     """
     config.validate()
     episodes = manifest.load_episodes()
     for episode in episodes:
         _check_dims(episode, config)
+        for task in TASKS:
+            _check_teacher_forcing(episode, task)
     vocab_size = len(manifest.load_vocabulary())
     if config.vocab_size < vocab_size:
         raise ShapeError(f"config vocab_size {config.vocab_size} < manifest's {vocab_size}")

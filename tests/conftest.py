@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from quag.data import SyntheticSpec, generate_synthetic_dataset
+from quag.data import SyntheticSpec, generate_synthetic_dataset, load_episode, write_episode
 from quag.model import ModelConfig
 
 
@@ -38,4 +40,18 @@ def tiny_config(manifest, **overrides):
 def tiny_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny-corpus")
     manifest = generate_synthetic_dataset(out, TINY_SPEC)
+    return manifest
+
+
+def single_frame_moment_corpus(out, n_frames=TINY_SPEC.n_frames):
+    """The tiny corpus with episode 0 cut to ``n_frames`` frames and a
+    single-frame moment, at frame 3 or the last: the loader accepts it, but
+    there is no step to teacher-force."""
+    manifest = generate_synthetic_dataset(out, TINY_SPEC)
+    path = manifest.resolve(manifest.episode_paths[0])
+    ep = load_episode(path)
+    end = min(3, n_frames - 1)
+    write_episode(dataclasses.replace(
+        ep, visual=ep.visual[:n_frames], audio=ep.audio[:n_frames], moment=(end, end),
+        steps=[end], captions=ep.captions[:1], caption_texts=ep.caption_texts[:1]), path)
     return manifest

@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import TINY_MODEL, TINY_SPEC
+from conftest import TINY_MODEL, TINY_SPEC, single_frame_moment_corpus
 from quag.cli import main
 from quag.data import load_manifest
 from quag.model import ModelConfig, predict
@@ -105,6 +105,14 @@ def test_wrong_manifest_frame_count_refused_before_the_run_dir(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def test_episode_it_cannot_train_on_exits_1(tmp_path, capsys):
+    corpus = single_frame_moment_corpus(tmp_path / "corpus")
+    assert main(["train", str(tmp_path / "corpus" / "manifest.json"), str(tmp_path / "run")]) == 1
+    assert f"episode {corpus.load_episodes()[0].id}: single-frame moment" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_zero_heads_config_exits_1(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n_heads": 0}))
@@ -173,7 +181,7 @@ def test_adamw_beta_of_one_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("caption_context", "step"), ("ffn_dim", None), ("use_positional", True)])
+    ("caption_context", "step"), ("ffn_dim", None), ("use_positional", True), ("dropout", 0.0)])
 def test_run_config_with_a_dropped_field_exits_1(tmp_path, capsys, field, value):
     # these are no longer config fields: a run written while one was is
     # refused by name, not half loaded

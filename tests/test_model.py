@@ -65,7 +65,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("n_heads", 0), ("n_heads", -2), ("beam_width", 0), ("beam_width", -1),
-        ("dropout", 1.0), ("dropout", -0.1), ("dropout", float("nan")),
         ("tau", float("nan")), ("lam", float("nan")), ("lr", -1e-3),
         ("encoder_layers", -1), ("decoder_layers", -1),
     ])
@@ -163,9 +162,9 @@ class TestRegistry:
             "b5cd92dc8c4101c1b0b3b5e13de102db42ba0adb23d5f65458a9edc70b7e6ff6"
 
     def test_compatibility_names_for_the_benchmark_walk(self):
-        # bench/walk.py passes params.boundary_marker and reads
-        # config.caption_context and config.use_positional until ROADMAP item
-        # 1b; these five names keep it running, and go once it stops.
+        # bench/walk.py passes params.boundary_marker and (config.dropout,
+        # None), and reads config.caption_context and config.use_positional,
+        # until ROADMAP item 1b; these names keep it running, and go once it stops.
         config = tiny_config()
         params = QuagParams(config)
         assert QuagParams.boundary_marker is None and params.boundary_marker is None
@@ -180,6 +179,17 @@ class TestRegistry:
         assert "use_positional" not in config.to_dict()
         with pytest.raises(ValueError, match="use_positional"):
             ModelConfig.from_dict({"use_positional": True})
+        assert config.dropout == 0.0
+        assert "dropout" not in config.to_dict()
+        with pytest.raises(ValueError, match="dropout"):
+            ModelConfig.from_dict({"dropout": 0.0})
+        rep = Tensor(np.random.default_rng(0).standard_normal((6, 8)).astype(np.float32))
+        assert np.array_equal(layers.encoder_forward(rep, params.encoder, 0.0, None).data,
+                              layers.encoder_forward(rep, params.encoder).data)
+        memory = slice_rows(rep, 1, 4)
+        assert np.array_equal(
+            params.decoder.teacher_forced_logits(memory, [BOS, 4, 5], 0.0, None).data,
+            params.decoder.teacher_forced_logits(memory, [BOS, 4, 5]).data)
         frames = trunk(make_episode(), params)
         state = StepBoundaryState(span=(1, 4), n_frames=6, boundaries=[2])
         assert np.array_equal(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_config
+from conftest import single_frame_moment_corpus, tiny_config
 from quag import trainer
 from quag.losses import TASKS, total_loss
 from quag.model import QuagParams, predict
@@ -368,6 +368,23 @@ class TestSchedule:
             TaskLoaders([], batch_size=2, seed=0)
 
 
+class TestTrainStep:
+    @pytest.mark.parametrize("task", TASKS)
+    def test_a_step_draws_no_random_numbers(self, tiny_corpus, monkeypatch, task):
+        # training draws only for parameter initialisation and batch order
+        config = tiny_config(tiny_corpus)
+        model = QuagParams(config)
+        optimizer = AdamW.for_model(model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a training step made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        train_step(tiny_corpus.load_episodes(), model, optimizer, task, config.lam)
+        assert optimizer.t == 1
+
+
 class TestRoundRobin:
     @pytest.mark.parametrize("batch_size", [2, 4])
     def test_each_task_gets_each_epoch_batch_once(self, tiny_corpus, monkeypatch, batch_size):
@@ -379,7 +396,7 @@ class TestRoundRobin:
         loaders = TaskLoaders(episodes, config.batch_size, config.seed)
         seen = []
 
-        def record(batch, model, optimizer, task, lam, rng=None):
+        def record(batch, model, optimizer, task, lam):
             seen.append((task, tuple(ep.id for ep in batch)))
             return total_loss(task, Tensor(np.float32(1.0)), Tensor(np.float32(0.0)), lam)
 
@@ -729,13 +746,18 @@ class TestTrainEntryPoint:
             train(config, tiny_corpus, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("n_frames", [12, 1])
+    def test_episode_it_cannot_train_on_is_refused_before_the_run_dir(self, tmp_path, n_frames):
+        # a one-frame episode's moment is (0, 0); ret could not train on it either
+        corpus = single_frame_moment_corpus(tmp_path / "corpus", n_frames)
+        episodes = corpus.load_episodes()  # the loader accepts it
+        assert episodes[0].n_frames == n_frames and episodes[0].moment[0] == episodes[0].moment[1]
+        with pytest.raises(ValueError, match=f"episode {episodes[0].id}: single-frame moment"):
+            train(tiny_config(corpus, epochs=1), corpus, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_resume_matches_uninterrupted_run(self, tiny_corpus, tmp_path):
         self.check_resume(tiny_config(tiny_corpus, epochs=4), tiny_corpus, tmp_path)
-
-    def test_resume_with_dropout_matches_uninterrupted_run(self, tiny_corpus, tmp_path):
-        """Dropout masks come from a stream seeded per epoch, drawn over the
-        stacked trunk and then the heads, so a resumed run draws them alike."""
-        self.check_resume(tiny_config(tiny_corpus, epochs=4, dropout=0.1), tiny_corpus, tmp_path)
 
     @staticmethod
     def check_resume(config, tiny_corpus, tmp_path):
