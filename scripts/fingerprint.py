@@ -6,8 +6,11 @@ is bit-identical to its parent.
 For each benchmark workload it builds the seed-1 corpus (as ``bench/run.py``
 does), trains the workload's config once and prints the sha256 of:
 - ``metrics.jsonl``;
-- the checkpoint bytes after the config digest, so a change that only
-  renames or drops config fields still compares equal;
+- the state the checkpoint restores: ``load_checkpoint`` into a fresh model
+  and ``AdamW.for_model``, then its ``flat_data``, ``flat_m``, ``flat_v``,
+  ``t`` and the epoch. So two checkouts compare equal whenever they train
+  the same, even if they lay the checkpoint out or digest the config
+  differently;
 - ``predict`` on every held-out episode, untrained and trained, at beam
   widths 1 and 3.
 
@@ -17,7 +20,8 @@ and predicts on those same episodes, so batches that hold both lengths are
 covered too.
 
 ``quag`` and ``bench/workloads.py`` are imported from CHECKOUT, so run it
-once on each checkout and compare the two outputs line by line.
+once on each checkout and compare the two outputs line by line. CHECKOUT's
+``AdamW`` must keep its moments in ``flat_m`` and ``flat_v``.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-# One BLAS thread, as in bench/run.py: the sums then do not depend on the host.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 SEED = 1
 BEAM_WIDTHS = (1, 3)
 MIXED_FRAMES = (24, 32)  # one corpus part of 8 episodes per frame count
@@ -44,13 +44,20 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def weights_after_digest(checkpoint: bytes) -> bytes:
-    """The checkpoint less its magic, version and config digest."""
-    from quag.trainer import CHECKPOINT_MAGIC
+def restored_state(checkpoint: Path, config) -> str:
+    """The sha256 of what ``checkpoint`` restores: AdamW's flat parameter and
+    moment buffers, then its step count and the epoch as two i8."""
+    from quag.model import QuagParams
+    from quag.trainer import AdamW, load_checkpoint
 
-    start = len(CHECKPOINT_MAGIC)
-    _, digest_len = struct.unpack_from("<II", checkpoint, start)
-    return checkpoint[start + 8 + digest_len:]
+    model = QuagParams(config)
+    optimizer = AdamW.for_model(model)
+    epoch = load_checkpoint(checkpoint, config, model, optimizer)
+    state = hashlib.sha256()
+    for flat in (optimizer.flat_data, optimizer.flat_m, optimizer.flat_v):
+        state.update(flat.tobytes())
+    state.update(struct.pack("<qq", optimizer.t, epoch))
+    return state.hexdigest()
 
 
 def predictions(model, episodes) -> bytes:
@@ -96,8 +103,7 @@ def fingerprint(name: str, work: Path) -> list[tuple[str, str]]:
             for w in BEAM_WIDTHS]
     result = train(config, train_m, work / "run")
     rows.append(("metrics.jsonl", sha256(result.log_path.read_bytes())))
-    rows.append(("checkpoint.weights",
-                 sha256(weights_after_digest(result.checkpoint_path.read_bytes()))))
+    rows.append(("checkpoint.state", restored_state(result.checkpoint_path, config)))
     rows += [(f"predict.trained.beam{w}",
               sha256(predictions(load_params_for_eval(result.checkpoint_path,
                                                       config.replace(beam_width=w)), heldout)))
@@ -109,6 +115,10 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
+    # One BLAS thread, as in bench/run.py: the sums then do not depend on the
+    # host. Set before quag imports numpy.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     checkout = Path(argv[0]).resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "bench")]
     from workloads import WORKLOADS

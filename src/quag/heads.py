@@ -66,8 +66,6 @@ def predict_moment_span(frames: Tensor, start_head: Tensor,
                         end_head: Tensor) -> SpanDistribution:
     """Softmax distributions over frames from two independent [D, 1] heads."""
     n = frames.shape[0]
-    if n < 2:
-        raise ShapeError(f"moment span prediction needs >= 2 frames, got {n}")
     p_start = masked_softmax(reshape(matmul(frames, start_head), (n,)))
     p_end = masked_softmax(reshape(matmul(frames, end_head), (n,)))
     return SpanDistribution(p_start=p_start, p_end=p_end)

@@ -9,6 +9,7 @@ where the uninterrupted one would be.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"QGCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _SLICE = 1 << 14  # AdamW elements per slice of its flat buffers: 128 KiB of float64
 
 
@@ -55,16 +56,18 @@ class CheckpointError(ValueError):
 class AdamW:
     """Bias-corrected Adam with decoupled weight decay, over flat buffers.
 
-    Each ``p.data`` is rebound to its view of one float32 buffer, laid out in
-    the given order, and ``step`` updates it in place. The gradients have a
-    float32 buffer and the moments a float64 pair of the same layout, viewed
-    per name as ``m[name]`` and ``v[name]``. ``zero_grads`` points every
-    ``p.grad`` at its slot, so backward adds into the buffer; ``step`` copies
-    any other gradient into its slot, ``None`` as zero. The moments and update
-    are float64 and only the new parameter is rounded: float32 moments drift
-    1.4e-7 from a float64 Adam in 20 steps on a quadratic, against 4.3e-8.
-    The flat arrays are walked in ``_SLICE`` slices through two float64
-    scratch buffers that stay in cache, one set of ufunc calls per slice.
+    Each ``p.data`` is rebound to its view of one float32 buffer,
+    ``flat_data``, laid out in the given order, and ``step`` updates it in
+    place. The gradients have a float32 buffer and the moments a float64
+    pair, ``flat_m`` and ``flat_v``, of the same layout. ``zero_grads``
+    points every ``p.grad`` at its slot, so backward adds into the buffer;
+    ``step`` copies any other gradient into its slot, ``None`` as zero. The
+    moments and update are float64 and only the new parameter is rounded:
+    float32 moments drift 1.4e-7 from a float64 Adam in 20 steps on a
+    quadratic, against 4.3e-8. The flat arrays are walked in ``_SLICE``
+    slices through two float64 scratch buffers that stay in cache, one set
+    of ufunc calls per slice. A checkpoint stores the three flat buffers
+    as they are.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
@@ -84,12 +87,11 @@ class AdamW:
         size = sum(p.data.size for p in params.values())
         self.flat_data, self.flat_grad = np.empty(size, np.float32), np.zeros(size, np.float32)
         self.flat_m, self.flat_v = np.zeros(size), np.zeros(size)
-        self.m, self.v, self._slots = {}, {}, []  # slots: (name, tensor, data view, grad view)
+        self._slots = []  # (name, tensor, data view, grad view)
         lo = 0
         for name, p in params.items():
-            data, grad, self.m[name], self.v[name] = (
-                flat[lo:lo + p.data.size].reshape(p.shape)
-                for flat in (self.flat_data, self.flat_grad, self.flat_m, self.flat_v))
+            data, grad = (flat[lo:lo + p.data.size].reshape(p.shape)
+                          for flat in (self.flat_data, self.flat_grad))
             np.copyto(data, p.data, casting="equiv")  # a float64 parameter raises TypeError
             p.data = data
             self._slots.append((name, p, data, grad))
@@ -299,58 +301,56 @@ def round_robin_epoch(model: QuagParams, loaders: TaskLoaders, schedule: TrainSc
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format v2, little-endian throughout:
-#   magic b"QGCK", u32 version, u32 digest length, the config digest (ascii),
-#   u32 entry count, then for each entry: u32 name length, the name (utf-8),
-#   a 3-byte dtype tag, u32 rank, one u32 per extent, and the raw values.
-# Each entry is stored in the dtype of the array it holds: "<f4" for the
-# parameters, "<f8" for the AdamW moments opt.m.* / opt.v.*, "<i8" for
-# trainer.step and trainer.epoch. So the optimizer state round-trips exactly,
-# and a resumed run stays bit-identical to an uninterrupted one.
+# Checkpoint format v3, little-endian throughout: magic b"QGCK", u32 version,
+# u32 digest length, the config digest (ascii), then one header of the 32-byte
+# layout hash, i8 step (AdamW.t) and i8 epoch, then AdamW's flat buffers: every
+# parameter's float32 values in registry order, then flat_m and flat_v as float64.
+# The digest binds the config and the layout hash the parameter names and
+# shapes, so each array's offset follows from the model. The moments are stored
+# as AdamW holds them, so a resumed run stays bit-identical to an uninterrupted one.
 
-_DTYPE_TAGS = {tag: np.dtype(tag.decode("ascii")) for tag in (b"<f4", b"<f8", b"<i8")}
-_MAX_RANK = 32  # NumPy 1's array rank limit; no entry comes near it
+_HEADER = struct.Struct("<32sqq")  # layout hash, step, epoch
 
 
-def _checkpoint_arrays(model: QuagParams, optimizer: Optional[AdamW]) -> dict[str, np.ndarray]:
-    """Each array entry's name and the live array it holds, in file order:
-    every parameter, then, with an optimizer, each parameter's moments."""
-    params = model.named_parameters()
-    arrays = {name: p.data for name, p in params.items()}
-    if optimizer is not None:
-        for name in params:
-            arrays[f"opt.m.{name}"] = optimizer.m[name]
-            arrays[f"opt.v.{name}"] = optimizer.v[name]
-    return arrays
+def _layout_hash(params: dict[str, Tensor]) -> bytes:
+    """The sha256 of ``json.dumps([[name, shape], ...])`` over the parameters
+    in registry order."""
+    layout = json.dumps([[name, list(p.shape)] for name, p in params.items()])
+    return hashlib.sha256(layout.encode("utf-8")).digest()
+
+
+def _check_optimizer(params: dict[str, Tensor], optimizer: AdamW) -> None:
+    """Raise ``ValueError`` unless the optimizer's flat buffers hold exactly
+    ``params``, in order: then they are laid out as the checkpoint is."""
+    held = [(name, id(p), id(data)) for name, p, data, _ in optimizer._slots]
+    if held != [(name, id(p), id(p.data)) for name, p in params.items()]:
+        raise ValueError("the optimizer does not hold this model's parameters in registry "
+                         "order: it was built for another model, or a parameter was rebound")
 
 
 def save_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
                     optimizer: AdamW, epoch: int) -> None:
-    """Write a v2 checkpoint atomically.
+    """Write a v3 checkpoint atomically.
 
-    The entries stream to a temp file beside ``path``, which then replaces
-    ``path`` in one rename. If the process dies mid-write, ``path`` still
-    holds the previous checkpoint. The temp file is fsynced before the rename
-    and the directory after it, so after a power loss ``path`` holds either
-    the previous checkpoint or the whole new one.
+    ``optimizer`` must be ``AdamW.for_model(model)``; any other raises
+    ``ValueError`` before a file is made. The file streams to a temp file
+    beside ``path``, which then replaces ``path`` in one rename. If the
+    process dies mid-write, ``path`` still holds the previous checkpoint. The
+    temp file is fsynced before the rename and the directory after it, so
+    after a power loss ``path`` holds either the previous checkpoint or the
+    whole new one.
     """
     path = Path(path)
+    params = model.named_parameters()
+    _check_optimizer(params, optimizer)
     digest = config.digest().encode("ascii")
-    entries = list(_checkpoint_arrays(model, optimizer).items()) + [
-        ("trainer.step", np.array([optimizer.t], dtype="<i8")),
-        ("trainer.epoch", np.array([epoch], dtype="<i8")),
-    ]
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(digest))
-                    + digest + struct.pack("<I", len(entries)))
-            for name, arr in entries:
-                arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<I", len(encoded)) + encoded + arr.dtype.str.encode("ascii")
-                        + struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape))
-                f.write(arr.data)
+                    + digest + _HEADER.pack(_layout_hash(params), optimizer.t, epoch))
+            for flat in (optimizer.flat_data, optimizer.flat_m, optimizer.flat_v):
+                f.write(flat.data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -363,101 +363,51 @@ def save_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
         tmp.unlink(missing_ok=True)
 
 
-def _index_checkpoint(f, path: Path) -> tuple[str, dict[str, tuple[np.dtype, tuple, int]]]:
-    """The config digest and each entry's dtype, shape and value offset in
-    the open v2 checkpoint ``f``: every header is read and checked, every
-    payload skipped. Any malformed input raises ``CheckpointError``."""
-    size = os.fstat(f.fileno()).st_size
-
-    def take(n: int) -> bytes:
-        if n > size - f.tell():
-            raise CheckpointError(f"{path}: truncated checkpoint: a header runs past the end")
-        return f.read(n)
-
-    head = f.read(12)
-    if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad checkpoint magic")
-    version, digest_len = struct.unpack("<II", head[4:])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        digest = take(digest_len).decode("ascii")
-        index = {}
-        for _ in range(struct.unpack("<I", take(4))[0]):
-            name = take(struct.unpack("<I", take(4))[0]).decode("utf-8")
-            tag = take(3)
-            if tag not in _DTYPE_TAGS:
-                raise CheckpointError(f"{path}: entry {name!r} has unknown dtype tag {tag!r}")
-            (rank,) = struct.unpack("<I", take(4))
-            if rank > _MAX_RANK:
-                raise CheckpointError(f"{path}: corrupt checkpoint: entry {name!r} has rank {rank}")
-            shape = struct.unpack(f"<{rank}I", take(4 * rank))
-            index[name] = (_DTYPE_TAGS[tag], shape, f.tell())
-            end = f.tell() + math.prod(shape) * _DTYPE_TAGS[tag].itemsize
-            if end > size:
-                raise CheckpointError(f"{path}: truncated checkpoint: entry {name!r} runs past the end")
-            f.seek(end)
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: truncated or corrupt checkpoint: {exc}") from exc
-    if f.tell() != size:
-        raise CheckpointError(f"{path}: {size - f.tell()} trailing bytes after the last entry")
-    return digest, index
-
-
-def _entry(index: dict, name: str, shape: tuple[int, ...], path: Path,
-           dtype: Optional[np.dtype] = None) -> tuple:
-    """The indexed entry ``name``, checked to have ``shape`` and, if given,
-    ``dtype``: an entry is read into its live array as it is stored."""
-    if name not in index:
-        raise CheckpointError(f"{path}: missing entry {name!r}")
-    if index[name][1] != shape:
-        raise CheckpointError(f"{path}: entry {name!r} has shape {index[name][1]}, expected {shape}")
-    if dtype is not None and index[name][0] != dtype:
-        raise CheckpointError(
-            f"{path}: entry {name!r} has dtype {index[name][0].str}, expected {dtype.str}")
-    return index[name]
-
-
-def _read_into(f, entry: tuple, out: np.ndarray, path: Path) -> None:
-    """Read an indexed entry's values straight into ``out``, an array of its
-    shape and dtype."""
-    f.seek(entry[2])
-    if f.readinto(out) != out.nbytes:
-        raise CheckpointError(f"{path}: checkpoint shrank while it was read")
-
-
-def _counter(f, index: dict, name: str, path: Path) -> int:
-    entry = _entry(index, name, (1,), path)
-    value = np.empty(1, entry[0])
-    _read_into(f, entry, value, path)
-    if entry[0] != _DTYPE_TAGS[b"<i8"] or value[0] < 0:
-        raise CheckpointError(f"{path}: entry {name!r} is {entry[0].str} {value[0]}, not a count")
-    return int(value[0])
-
-
 def load_checkpoint(path: Path, config: ModelConfig, model: QuagParams,
                     optimizer: Optional[AdamW] = None) -> int:
     """Restore parameters (and optimizer state); returns completed epochs.
 
-    A first pass reads and checks every header and the counters, so a
-    malformed, truncated or mismatched checkpoint raises ``CheckpointError``
-    before anything is restored. A second pass reads each entry's values
-    straight into its array, so the arrays keep their objects and dtypes and
-    the file is never held in memory.
+    The magic, version, exact file size, config digest, layout hash and
+    counters are checked first, so a malformed, truncated or mismatched
+    checkpoint raises ``CheckpointError`` before any parameter, moment or
+    ``optimizer.t`` changes. The values are then read straight into each
+    parameter's array and, with an optimizer, into ``flat_m`` and ``flat_v``,
+    so the arrays keep their objects and the file is never held in memory.
+    An optimizer not built over ``model`` raises ``ValueError``, as in
+    ``save_checkpoint``.
     """
+    params = model.named_parameters()
+    if optimizer is not None:
+        _check_optimizer(params, optimizer)
+    n = sum(p.data.size for p in params.values())
     with open(path, "rb") as f:
-        digest, index = _index_checkpoint(f, path)
+        head = f.read(12)
+        if len(head) < 12 or head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad checkpoint magic")
+        version, digest_len = struct.unpack("<II", head[4:])
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        size = os.fstat(f.fileno()).st_size
+        expected = len(head) + digest_len + _HEADER.size + (4 + 8 + 8) * n  # values, m, v
+        if size < expected:
+            raise CheckpointError(f"{path}: truncated checkpoint: {size} of {expected} bytes")
+        if size > expected:
+            raise CheckpointError(f"{path}: {size - expected} trailing bytes after the moments")
+        digest = f.read(digest_len).decode("ascii", "replace")
         if digest != config.digest():
-            raise CheckpointError(
-                f"{path}: checkpoint was written for a different config "
-                f"(digest {digest[:12]}.. != {config.digest()[:12]}..)"
-            )
-        arrays = _checkpoint_arrays(model, optimizer)
-        saved = [_entry(index, name, arr.shape, path, arr.dtype) for name, arr in arrays.items()]
-        epoch = _counter(f, index, "trainer.epoch", path)
-        step = _counter(f, index, "trainer.step", path) if optimizer is not None else 0
-        for arr, entry in zip(arrays.values(), saved):
-            _read_into(f, entry, arr, path)
+            raise CheckpointError(f"{path}: checkpoint was written for a different config "
+                                  f"(digest {digest[:12]}.. != {config.digest()[:12]}..)")
+        layout, step, epoch = _HEADER.unpack(f.read(_HEADER.size))
+        if layout != _layout_hash(params):
+            raise CheckpointError(f"{path}: parameter names or shapes differ from the model's")
+        if step < 0 or epoch < 0:
+            raise CheckpointError(f"{path}: negative counter: step {step}, epoch {epoch}")
+        arrays = [p.data for p in params.values()]
+        if optimizer is not None:
+            arrays += [optimizer.flat_m, optimizer.flat_v]
+        for arr in arrays:
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"{path}: checkpoint shrank while it was read")
     if optimizer is not None:
         optimizer.t = step
     return epoch

@@ -3,11 +3,11 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import TINY_MODEL, TINY_SPEC, single_frame_moment_corpus
+from conftest import TINY_MODEL, TINY_SPEC, single_frame_moment_corpus, tiny_config
 from quag.cli import main
 from quag.data import load_manifest
-from quag.model import ModelConfig, predict
-from quag.trainer import load_params_for_eval
+from quag.model import ModelConfig, QuagParams, predict
+from quag.trainer import AdamW, load_params_for_eval, save_checkpoint
 
 
 def test_gen_train_predict_end_to_end(tmp_path, capsys):
@@ -111,6 +111,20 @@ def test_episode_it_cannot_train_on_exits_1(tmp_path, capsys):
     assert f"episode {corpus.load_episodes()[0].id}: single-frame moment" \
         in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_predict_on_a_one_frame_episode_exits_0(tmp_path, capsys):
+    corpus = single_frame_moment_corpus(tmp_path / "corpus", 1)
+    config, run = tiny_config(corpus), tmp_path / "run"
+    run.mkdir()
+    (run / "config.json").write_text(json.dumps(config.to_dict()))
+    model = QuagParams(config)
+    save_checkpoint(run / "checkpoint.qgck", config, model, AdamW.for_model(model), 0)
+    assert main(["predict", str(tmp_path / "corpus" / "manifest.json"), str(run)]) == 0
+    out = capsys.readouterr()
+    lines = [json.loads(line) for line in out.out.splitlines()]
+    assert out.err == "" and len(lines) == TINY_SPEC.n_episodes
+    assert (lines[0]["moment"], lines[0]["steps"], len(lines[0]["captions"])) == ([0, 0], [0], 1)
 
 
 def test_zero_heads_config_exits_1(tmp_path, capsys):

@@ -83,9 +83,11 @@ class TestMomentSpan:
         np.testing.assert_allclose(dist.p_start.data, np.full(6, 1 / 6), atol=1e-6)
         np.testing.assert_allclose(dist.p_end.data, np.full(6, 1 / 6), atol=1e-6)
 
-    def test_needs_two_frames(self):
-        with pytest.raises(ShapeError):
-            predict_moment_span(frames_tensor(1), head(), head(seed=2))
+    def test_one_frame_is_certain(self):
+        # a one-frame episode loads, so its span must decode, to (0, 0)
+        dist = predict_moment_span(frames_tensor(1), head(), head(seed=2))
+        assert dist.p_start.data.tolist() == dist.p_end.data.tolist() == [1.0]
+        assert decode_moment(dist) == (0, 0)
 
     def test_distributions_are_simplices_for_random_heads(self):
         for seed in range(10):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import tiny_config as corpus_config
+from conftest import single_frame_moment_corpus, tiny_config as corpus_config
 from quag import layers
 from quag.data import BOS, EOS, EpisodeRecord, step_frame_spans
 from quag.heads import (
@@ -589,6 +589,16 @@ class TestPredict:
         a = predict(episode, params)
         b = predict(episode, params)
         assert a == b
+
+    def test_one_frame_episode(self, tmp_path):
+        # the loader accepts a one-frame episode; its moment, step and caption are frame 0's
+        manifest = single_frame_moment_corpus(tmp_path, 1)
+        episode = manifest.load_episodes()[0]
+        params = QuagParams(corpus_config(manifest))
+        pred = predict(episode, params)
+        assert episode.n_frames == 1
+        assert (pred.moment, pred.steps, len(pred.captions)) == ((0, 0), [0], 1)
+        assert pred == predict_step_by_step(episode, params)
 
 
 def predict_step_by_step(episode, params):

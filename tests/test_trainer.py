@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -86,7 +87,7 @@ class TestAdamW:
         opt = AdamW({"p": p}, lr=0.1)
         p.grad = np.array([0.5, 0.25], dtype=np.float32)
         opt.step()
-        assert opt.m["p"].dtype == np.float64 and opt.v["p"].dtype == np.float64
+        assert opt.flat_m.dtype == np.float64 and opt.flat_v.dtype == np.float64
         assert p.data.dtype == np.float32
 
     def test_slices_update_every_element_once(self):
@@ -224,8 +225,8 @@ def _random_gradients(fast, slow, optimizer, rng):
 def _assert_same_state(fast, slow, optimizer, reference):
     for name, p in fast.items():
         assert np.array_equal(p.data, slow[name].data), name
-        assert np.array_equal(optimizer.m[name], reference.m[name]), name
-        assert np.array_equal(optimizer.v[name], reference.v[name]), name
+    for flat, moments in ((optimizer.flat_m, reference.m), (optimizer.flat_v, reference.v)):
+        assert np.array_equal(flat, np.concatenate([moments[n].reshape(-1) for n in fast]))
 
 
 class TestFlatAgainstSlowAdamW:
@@ -304,14 +305,14 @@ class TestFlatBuffers:
         save_checkpoint(tmp_path / "ckpt.qgck", config, model, optimizer, epoch=1)
         restored = QuagParams(config)
         opt2 = AdamW.for_model(restored)
+        moments = opt2.flat_m, opt2.flat_v
         load_checkpoint(tmp_path / "ckpt.qgck", config, restored, opt2)
         assert np.array_equal(opt2.flat_data, optimizer.flat_data)
         assert np.array_equal(opt2.flat_m, optimizer.flat_m)
         assert np.array_equal(opt2.flat_v, optimizer.flat_v)
-        for name, p in restored.named_parameters().items():
+        assert opt2.flat_m is moments[0] and opt2.flat_v is moments[1]
+        for p in restored.named_parameters().values():
             assert np.shares_memory(p.data, opt2.flat_data)
-            assert np.shares_memory(opt2.m[name], opt2.flat_m)
-            assert np.shares_memory(opt2.v[name], opt2.flat_v)
         opt2.zero_grads()
         opt2.step()  # the restored parameters are still the ones the step updates
 
@@ -475,8 +476,8 @@ class TestCheckpointIO:
         assert opt2.t == 1
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(p.data, restored.named_parameters()[name].data)
-            np.testing.assert_array_equal(optimizer.m[name], opt2.m[name])
-            np.testing.assert_array_equal(optimizer.v[name], opt2.v[name])
+        np.testing.assert_array_equal(optimizer.flat_m, opt2.flat_m)
+        np.testing.assert_array_equal(optimizer.flat_v, opt2.flat_v)
 
     def test_digest_mismatch_rejected(self, tiny_corpus, tmp_path):
         config = tiny_config(tiny_corpus)
@@ -504,15 +505,56 @@ class TestCheckpointIO:
         raw = path.read_bytes()
         restored = QuagParams(config)
         opt2 = AdamW.for_model(restored)
-        arrays = trainer._checkpoint_arrays(restored, opt2)
-        before = {name: arr.copy() for name, arr in arrays.items()}
-        # inside the digest, inside an entry's values, one byte short of the end
-        for cut in (40, len(raw) // 2, len(raw) - 1):
-            path.write_bytes(raw[:cut])
-            with pytest.raises(CheckpointError, match="truncated"):
+        arrays = [p.data for p in restored.named_parameters().values()]
+        arrays += [opt2.flat_m, opt2.flat_v]
+        before = [arr.copy() for arr in arrays]
+        digest_at = 12
+        header_at = digest_at + len(config.digest())
+        params_at = header_at + 48
+        moments_at = params_at + 4 * optimizer.flat_data.size
+        # inside the digest, the header, the parameters, flat_m and flat_v
+        # (one byte short of the end), and one trailing byte
+        for cut in (digest_at + 5, header_at + 40, (params_at + moments_at) // 2,
+                    moments_at + 8, len(raw) - 1, len(raw) + 1):
+            path.write_bytes((raw + b"\0")[:cut])
+            with pytest.raises(CheckpointError, match="truncated|trailing bytes"):
                 load_checkpoint(path, config, restored, opt2)
-            assert all(np.array_equal(arr, before[name]) for name, arr in arrays.items())
+            assert all(np.array_equal(arr, old) for arr, old in zip(arrays, before))
             assert opt2.t == 0
+
+    def test_load_without_an_optimizer_restores_the_parameters_only(self, tiny_corpus,
+                                                                     tmp_path):
+        config = tiny_config(tiny_corpus)
+        model, optimizer = _trained_state(config)
+        path = tmp_path / "ckpt.qgck"
+        save_checkpoint(path, config, model, optimizer, epoch=4)
+        restored = QuagParams(config)
+        opt2 = AdamW.for_model(restored)
+        assert load_checkpoint(path, config, restored) == 4
+        assert np.array_equal(opt2.flat_data, optimizer.flat_data)
+        assert not opt2.flat_m.any() and not opt2.flat_v.any() and opt2.t == 0
+
+    @pytest.mark.parametrize("other", [
+        # the parent's writer raised a bare KeyError for a joint model's optimizer
+        lambda config, model: AdamW.for_model(QuagParams(config.replace(fusion="joint"))),
+        lambda config, model: AdamW.for_model(QuagParams(config)),
+        lambda config, model: AdamW(dict(reversed(model.named_parameters().items())), lr=0.1),
+    ], ids=["other-fusion", "twin-model", "reversed"])
+    def test_optimizer_not_over_the_model_rejected(self, tiny_corpus, tmp_path, other):
+        config = tiny_config(tiny_corpus)
+        model, optimizer = _trained_state(config)
+        path = tmp_path / "ckpt.qgck"
+        save_checkpoint(path, config, model, optimizer, epoch=1)
+        saved = path.read_bytes()
+        with pytest.raises(ValueError, match="registry order"):
+            save_checkpoint(path, config, model, other(config, model), epoch=2)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == saved
+        target = QuagParams(config)
+        before = [p.data.copy() for p in target.named_parameters().values()]
+        with pytest.raises(ValueError, match="registry order"):
+            load_checkpoint(path, config, target, other(config, target))
+        for p, old in zip(target.named_parameters().values(), before):
+            assert np.array_equal(p.data, old)
 
 
 def _trained_state(config):
@@ -525,10 +567,32 @@ def _trained_state(config):
     return model, optimizer
 
 
-def _checkpoint_bytes(version, digest, entries):
-    """A checkpoint laid out by hand: v2 puts each entry's dtype tag before
-    its shape; v1, which no longer loads, stored every entry as <f4 with no
-    tag."""
+def _v3_bytes(digest, model, optimizer, epoch, layout=None, step=None):
+    """A v3 checkpoint laid out by hand, as the format comment in trainer.py
+    describes it: ``layout`` overrides the [[name, shape], ...] list hashed
+    into the header, ``step`` the optimizer's counter."""
+    params = model.named_parameters()
+    if layout is None:
+        layout = [[name, list(p.shape)] for name, p in params.items()]
+    blob = b"QGCK" + struct.pack("<II", 3, len(digest)) + digest.encode("ascii")
+    blob += hashlib.sha256(json.dumps(layout).encode("utf-8")).digest()
+    blob += struct.pack("<qq", optimizer.t if step is None else step, epoch)
+    blob += b"".join(p.data.astype("<f4").tobytes() for p in params.values())
+    return blob + optimizer.flat_m.astype("<f8").tobytes() + optimizer.flat_v.astype("<f8").tobytes()
+
+
+def _table_bytes(version, digest, model, optimizer, epoch):
+    """A v1 or v2 checkpoint laid out by hand: a table of named entries, each
+    with its shape; v2 stored each in its array's dtype behind a 3-byte tag,
+    v1 all as <f4 with no tag."""
+    params, lo = model.named_parameters(), 0
+    entries = [(n, p.data) for n, p in params.items()]
+    for n, p in params.items():
+        entries += [(f"opt.{k}.{n}", flat[lo:lo + p.size].reshape(p.shape))
+                    for k, flat in (("m", optimizer.flat_m), ("v", optimizer.flat_v))]
+        lo += p.size
+    entries += [("trainer.step", np.array([optimizer.t], dtype="<i8")),
+                ("trainer.epoch", np.array([epoch], dtype="<i8"))]
     blob = b"QGCK" + struct.pack("<II", version, len(digest)) + digest.encode("ascii")
     blob += struct.pack("<I", len(entries))
     for name, arr in entries:
@@ -542,14 +606,6 @@ def _checkpoint_bytes(version, digest, entries):
     return blob
 
 
-def _v2_entries(model, optimizer, epoch):
-    entries = [(n, p.data.astype("<f4")) for n, p in model.named_parameters().items()]
-    for n in model.named_parameters():
-        entries += [(f"opt.m.{n}", optimizer.m[n]), (f"opt.v.{n}", optimizer.v[n])]
-    return entries + [("trainer.step", np.array([optimizer.t], dtype="<i8")),
-                      ("trainer.epoch", np.array([epoch], dtype="<i8"))]
-
-
 @pytest.fixture(scope="module")
 def fuzz_target(tiny_corpus, tmp_path_factory):
     config = tiny_config(tiny_corpus)
@@ -560,26 +616,22 @@ def fuzz_target(tiny_corpus, tmp_path_factory):
 
 
 class TestCheckpointFormat:
-    def test_writer_matches_hand_laid_v2(self, tiny_corpus, tmp_path):
+    def test_writer_matches_hand_laid_v3(self, tiny_corpus, tmp_path):
         config = tiny_config(tiny_corpus)
         model, optimizer = _trained_state(config)
         path = tmp_path / "ckpt.qgck"
         save_checkpoint(path, config, model, optimizer, epoch=2)
-        assert path.read_bytes() == _checkpoint_bytes(
-            2, config.digest(), _v2_entries(model, optimizer, 2))
+        assert path.read_bytes() == _v3_bytes(config.digest(), model, optimizer, 2)
 
-    def test_v1_checkpoint_rejected(self, tiny_corpus, tmp_path):
-        # v1 digests hashed ``epochs``, so no v1 file matches a current config
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_version_rejected(self, tiny_corpus, tmp_path, version):
         config = tiny_config(tiny_corpus)
         model, optimizer = _trained_state(config)
-        entries = [(n, p.data) for n, p in model.named_parameters().items()]
-        for n in model.named_parameters():
-            entries += [(f"opt.m.{n}", optimizer.m[n]), (f"opt.v.{n}", optimizer.v[n])]
-        entries += [("trainer.step", np.array([1.0])), ("trainer.epoch", np.array([3.0]))]
-        path = tmp_path / "v1.qgck"
-        path.write_bytes(_checkpoint_bytes(1, config.digest(), entries))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
-            load_checkpoint(path, config, QuagParams(config), AdamW.for_model(model))
+        path = tmp_path / "old.qgck"
+        path.write_bytes(_table_bytes(version, config.digest(), model, optimizer, 3))
+        target = QuagParams(config)
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(path, config, target, AdamW.for_model(target))
 
     def test_load_keeps_every_array_object(self, tiny_corpus, tmp_path):
         config = tiny_config(tiny_corpus)
@@ -589,60 +641,51 @@ class TestCheckpointFormat:
         restored = QuagParams(config)
         opt2 = AdamW.for_model(restored)
         params = restored.named_parameters()
-        before = {n: (p.data, opt2.m[n], opt2.v[n]) for n, p in params.items()}
+        before = [p.data for p in params.values()] + [opt2.flat_m, opt2.flat_v]
         load_checkpoint(path, config, restored, opt2)
+        after = [p.data for p in params.values()] + [opt2.flat_m, opt2.flat_v]
+        assert all(now is kept for now, kept in zip(after, before))
         for n, p in params.items():
-            for kept, now in zip(before[n], (p.data, opt2.m[n], opt2.v[n])):
-                assert now is kept
             np.testing.assert_array_equal(p.data, model.named_parameters()[n].data)
-            np.testing.assert_array_equal(opt2.v[n], optimizer.v[n])
+        np.testing.assert_array_equal(opt2.flat_v, optimizer.flat_v)
 
-    @pytest.mark.parametrize("dropped", [
-        "proj_visual.weight", "opt.m.proj_visual.weight", "opt.v.proj_visual.weight",
-        "trainer.step", "trainer.epoch",
-    ])
-    def test_missing_entry_raises_checkpoint_error(self, tiny_corpus, tmp_path, dropped):
+    @pytest.mark.parametrize("edit", [
+        lambda layout: [["proj_visual.renamed", layout[0][1]]] + layout[1:],
+        lambda layout: [[layout[0][0], layout[0][1][::-1]]] + layout[1:],
+        lambda layout: layout[1:] + layout[:1],
+    ], ids=["renamed", "reshaped", "reordered"])
+    def test_layout_mismatch_rejected(self, tiny_corpus, tmp_path, edit):
+        # the same digest and size: only the layout hash tells the files apart
         config = tiny_config(tiny_corpus)
         model, optimizer = _trained_state(config)
-        entries = _v2_entries(model, optimizer, 1)
-        kept = [e for e in entries if e[0] != dropped]
-        assert len(kept) == len(entries) - 1
+        layout = [[n, list(p.shape)] for n, p in model.named_parameters().items()]
+        assert layout[0][0] == "proj_visual.weight" and len(set(layout[0][1])) == 2
         path = tmp_path / "ckpt.qgck"
-        path.write_bytes(_checkpoint_bytes(2, config.digest(), kept))
-        with pytest.raises(CheckpointError, match="missing entry"):
-            load_checkpoint(path, config, QuagParams(config), AdamW.for_model(model))
-
-    @pytest.mark.parametrize("version,at,value,match", [
-        (2, 0, lambda arr: arr.astype("<f2"), "unknown dtype tag"),
-        (2, -2, lambda arr: np.array([-1], dtype="<i8"), "not a count"),
-        (2, -1, lambda arr: np.array([3.0], dtype="<f8"), "not a count"),
-        # a parameter as integers would read back as their float values, a
-        # float32 moment would not resume exactly
-        (2, "proj_visual.weight", lambda arr: arr.astype("<i8"), "has dtype <i8"),
-        (2, "opt.m.proj_visual.weight", lambda arr: arr.astype("<f4"), "has dtype <f4"),
-    ])
-    def test_malformed_entry_rejected(self, tiny_corpus, tmp_path, version, at, value, match):
-        config = tiny_config(tiny_corpus)
-        model, optimizer = _trained_state(config)
-        entries = _v2_entries(model, optimizer, 1)
-        if isinstance(at, str):
-            at = [name for name, _ in entries].index(at)
-        name, arr = entries[at]
-        entries[at] = (name, value(arr))
-        path = tmp_path / "ckpt.qgck"
-        path.write_bytes(_checkpoint_bytes(version, config.digest(), entries))
+        path.write_bytes(_v3_bytes(config.digest(), model, optimizer, 1, layout=edit(layout)))
         target = QuagParams(config)
-        before = {n: p.data.copy() for n, p in target.named_parameters().items()}
-        with pytest.raises(CheckpointError, match=match):
-            load_checkpoint(path, config, target, AdamW.for_model(model))
-        for n, p in target.named_parameters().items():
-            assert np.array_equal(p.data, before[n]), n
+        opt2 = AdamW.for_model(target)
+        before = opt2.flat_data.copy()
+        with pytest.raises(CheckpointError, match="names or shapes differ"):
+            load_checkpoint(path, config, target, opt2)
+        assert np.array_equal(opt2.flat_data, before) and not opt2.flat_m.any()
+
+    @pytest.mark.parametrize("step,epoch", [(-1, 1), (1, -1)], ids=["step", "epoch"])
+    def test_negative_counter_rejected(self, tiny_corpus, tmp_path, step, epoch):
+        config = tiny_config(tiny_corpus)
+        model, optimizer = _trained_state(config)
+        path = tmp_path / "ckpt.qgck"
+        path.write_bytes(_v3_bytes(config.digest(), model, optimizer, epoch, step=step))
+        target = QuagParams(config)
+        opt2 = AdamW.for_model(target)
+        before = opt2.flat_data.copy()
+        with pytest.raises(CheckpointError, match="negative counter"):
+            load_checkpoint(path, config, target, opt2)
+        assert np.array_equal(opt2.flat_data, before) and opt2.t == 0
 
     @pytest.mark.parametrize("corrupt,match", [
         (lambda good, digest: good + b"\0", "trailing bytes"),
-        # one entry of rank 100 with zero-length extents: more dims than numpy allows
-        (lambda good, digest: _checkpoint_bytes(2, digest, [])[:-4] + struct.pack("<II", 1, 1)
-         + b"x<f4" + struct.pack("<I", 100) + bytes(400), "corrupt"),
+        # a digest length that runs past the end of the file
+        (lambda good, digest: good[:8] + struct.pack("<I", 2**32 - 1) + good[12:], "truncated"),
     ])
     def test_malformed_layout_rejected(self, fuzz_target, tmp_path, corrupt, match):
         config, good, _ = fuzz_target
@@ -665,7 +708,7 @@ class TestCheckpointFormat:
             raw = bytes(raw)
         path.write_bytes(raw)
         model = QuagParams(config)
-        try:  # _index_checkpoint's header pass, then load_checkpoint's checks and reads
+        try:  # load_checkpoint's checks, then its reads
             load_checkpoint(path, config, model, AdamW.for_model(model))
         except CheckpointError:
             pass
