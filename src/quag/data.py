@@ -12,6 +12,7 @@ the seed.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import MISSING, dataclass, field, fields, asdict
 from pathlib import Path
@@ -349,6 +350,12 @@ class SyntheticSpec:
                      "n_step_types", "max_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Written as `not 0 <= x < inf` so that NaN fails too.
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        # The split names the episode files: a separator would put them outside out_dir.
+        if not self.split or "/" in self.split or "\\" in self.split:
+            raise ValueError(f"split must be a nonempty name without / or \\, got {self.split!r}")
         # Each step type needs its own caption template of 3 to 5 words.
         words = self.vocab_size - len(_SPECIALS)
         templates = words**3 + words**4 + words**5

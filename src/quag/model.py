@@ -72,9 +72,6 @@ class ModelConfig:
     beam_width: int = 1
     lr: float = 1e-5
     batch_size: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     epochs: int = 50
     seed: int = 0

@@ -47,6 +47,7 @@ __all__ = [
 CHECKPOINT_MAGIC = b"QGCK"
 CHECKPOINT_VERSION = 3
 _SLICE = 1 << 14  # AdamW elements per slice of its flat buffers: 128 KiB of float64
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class CheckpointError(ValueError):
@@ -55,6 +56,9 @@ class CheckpointError(ValueError):
 
 class AdamW:
     """Bias-corrected Adam with decoupled weight decay, over flat buffers.
+
+    β1, β2 and ε are the constants ``_BETA1``, ``_BETA2`` and ``_EPS``, Kingma
+    & Ba's defaults (arXiv:1412.6980), which AdamW keeps (arXiv:1711.05101).
 
     Each ``p.data`` is rebound to its view of one float32 buffer,
     ``flat_data``, laid out in the given order, and ``step`` updates it in
@@ -70,20 +74,12 @@ class AdamW:
     as they are.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
-        # Every comparison is False for NaN, so NaN fails too. A beta of 1
-        # zeroes the bias correction's divisor; eps 0 makes 0/0 of a zero gradient.
-        for name, value, ok, allowed in (
-                ("lr", lr, lr >= 0, ">= 0"),
-                ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
-                ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
-                ("eps", eps, eps > 0, "> 0"),
-                ("weight_decay", weight_decay, weight_decay >= 0, ">= 0")):
-            if not ok:
-                raise ValueError(f"AdamW {name} must be {allowed}, got {value}")
-        self.lr, self.eps, self.weight_decay = lr, eps, weight_decay
-        self.beta1, self.beta2 = beta1, beta2
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.01):
+        # Every comparison is False for NaN, so NaN fails too.
+        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+            if not value >= 0:
+                raise ValueError(f"AdamW {name} must be >= 0, got {value}")
+        self.lr, self.weight_decay = lr, weight_decay
         size = sum(p.data.size for p in params.values())
         self.flat_data, self.flat_grad = np.empty(size, np.float32), np.zeros(size, np.float32)
         self.flat_m, self.flat_v = np.zeros(size), np.zeros(size)
@@ -101,8 +97,7 @@ class AdamW:
     @classmethod
     def for_model(cls, model: QuagParams) -> "AdamW":
         cfg = model.config
-        return cls(model.named_parameters(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                   eps=cfg.eps, weight_decay=cfg.weight_decay)
+        return cls(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     def zero_grads(self) -> None:
         """Zero the gradient buffer and point every ``p.grad`` at its slot."""
@@ -122,9 +117,8 @@ class AdamW:
             name = next(name for name, _, _, grad in self._slots if not np.isfinite(grad).all())
             raise NonFiniteLossError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        step_size = self.lr / (1.0 - b1 ** self.t)
-        inv_bc2 = 1.0 / (1.0 - b2 ** self.t)
+        step_size = self.lr / (1.0 - _BETA1 ** self.t)
+        inv_bc2 = 1.0 / (1.0 - _BETA2 ** self.t)
         shrink = 1.0 - self.lr * self.weight_decay
         g64, u64 = np.empty(_SLICE), np.empty(_SLICE)
         for lo in range(0, x.size, _SLICE):
@@ -132,17 +126,17 @@ class AdamW:
             gs, u = g64[:hi - lo], u64[:hi - lo]
             ms, vs = m[lo:hi], v[lo:hi]
             np.copyto(gs, g[lo:hi])
-            ms *= b1
-            np.multiply(gs, 1.0 - b1, out=u)
+            ms *= _BETA1
+            np.multiply(gs, 1.0 - _BETA1, out=u)
             ms += u
-            vs *= b2
+            vs *= _BETA2
             np.multiply(gs, gs, out=gs)
-            gs *= 1.0 - b2
+            gs *= 1.0 - _BETA2
             vs += gs
             # u = lr * m_hat / (sqrt(v_hat) + eps)
             np.multiply(vs, inv_bc2, out=u)
             np.sqrt(u, out=u)
-            u += self.eps
+            u += _EPS
             np.divide(ms, u, out=u)
             u *= step_size
             # x = x - lr * update - lr * weight_decay * x
@@ -154,10 +148,9 @@ class AdamW:
 
 @dataclass
 class TrainSchedule:
-    """Round-robin plan over ``TASKS``: iterations per epoch and epochs."""
+    """Round-robin plan over ``TASKS``: iterations per epoch."""
 
     iterations_per_epoch: int
-    epochs: int
 
     def task_at(self, iteration: int) -> str:
         return TASKS[iteration % len(TASKS)]
@@ -165,7 +158,7 @@ class TrainSchedule:
     @classmethod
     def for_dataset(cls, config: ModelConfig, n_episodes: int) -> "TrainSchedule":
         n_batches = max(1, -(-n_episodes // config.batch_size))
-        return cls(iterations_per_epoch=len(TASKS) * n_batches, epochs=config.epochs)
+        return cls(iterations_per_epoch=len(TASKS) * n_batches)
 
 
 class TaskLoaders:
@@ -490,7 +483,7 @@ def train(config: ModelConfig, manifest: DatasetManifest, out_dir: Path,
 
     means: dict[str, float] = {}
     with open(log_path, mode, encoding="utf-8") as log:
-        for epoch in range(start_epoch, schedule.epochs):
+        for epoch in range(start_epoch, config.epochs):
             def record(i: int, bundle: LossBundle, _epoch=epoch) -> None:
                 line = {
                     "iteration": _epoch * schedule.iterations_per_epoch + i,
@@ -511,6 +504,6 @@ def train(config: ModelConfig, manifest: DatasetManifest, out_dir: Path,
         checkpoint_path=checkpoint_path,
         log_path=log_path,
         config_path=config_path,
-        epochs_run=max(0, schedule.epochs - start_epoch),
+        epochs_run=max(0, config.epochs - start_epoch),
         final_means=means,
     )

@@ -169,6 +169,20 @@ def test_mistyped_field_exits_1(tmp_path, capsys, command, flag, doc, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("split", "../escaped"), ("split", "a\\b"), ("split", ""),
+    ("noise_sigma", float("nan")), ("noise_sigma", float("inf")), ("noise_sigma", -0.1),
+])
+def test_bad_spec_value_exits_1_before_anything_is_written(tmp_path, capsys, field, value):
+    # a split is part of each episode's file name, so "../escaped" wrote
+    # c2/escaped-0000.qgep beside OUT_DIR; a NaN sigma failed after vocab.txt
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({field: value}))
+    assert main(["gen", str(tmp_path / "c2" / "inner"), "--spec", str(spec)]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "c2").exists()
+
+
 def test_mistyped_run_config_exits_1(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY_MODEL, "epochs": 1}))
@@ -182,27 +196,21 @@ def test_mistyped_run_config_exits_1(tmp_path, capsys):
     assert "n_heads" in capsys.readouterr().err
 
 
-def test_adamw_beta_of_one_exits_1(tmp_path, capsys):
-    # the bias correction 1 - beta1**t is 0: a ZeroDivisionError at the first step
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1, "beta1": 1.0}))
-    assert main(["gen", str(tmp_path / "corpus")]) == 0
-    capsys.readouterr()
-    assert main(["train", str(tmp_path / "corpus" / "manifest.json"), str(tmp_path / "run"),
-                 "--config", str(config)]) == 1
-    assert "beta1" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()  # refused before the run directory is made
-
-
 @pytest.mark.parametrize("field,value", [
-    ("caption_context", "step"), ("ffn_dim", None), ("use_positional", True), ("dropout", 0.0)])
+    ("caption_context", "step"), ("ffn_dim", None), ("use_positional", True), ("dropout", 0.0),
+    ("beta1", 0.9), ("beta2", 0.999), ("eps", 1e-8)])
 def test_run_config_with_a_dropped_field_exits_1(tmp_path, capsys, field, value):
-    # these are no longer config fields: a run written while one was is
-    # refused by name, not half loaded
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1}))
+    # these are no longer config fields: a --config or a run written while
+    # one was is refused by name, not half loaded
     assert main(["gen", str(tmp_path / "corpus")]) == 0
     manifest = str(tmp_path / "corpus" / "manifest.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1, field: value}))
+    capsys.readouterr()
+    assert main(["train", manifest, str(tmp_path / "run"), "--config", str(config)]) == 1
+    assert f"unknown [{field!r}]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # refused before the run directory is made
+    config.write_text(json.dumps({**TINY_MODEL, "epochs": 1}))
     assert main(["train", manifest, str(tmp_path / "run"), "--config", str(config)]) == 0
     run_config = tmp_path / "run" / "config.json"
     run_config.write_text(json.dumps({**json.loads(run_config.read_text()), field: value}))

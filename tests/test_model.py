@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -87,6 +88,25 @@ class TestConfig:
         assert cfg.digest() != tiny_config(lam=0.4).digest()
         # fields that only decoding or the loop's length read are left out
         assert cfg.digest() == cfg.replace(beam_width=3, max_steps=9, epochs=7).digest()
+
+    def test_fields_and_what_the_digest_leaves_out_are_pinned(self):
+        # a new knob is a reviewed edit of these lists
+        names = [f.name for f in dataclasses.fields(ModelConfig)]
+        assert names == [
+            "d_model", "n_heads", "encoder_layers", "decoder_layers", "visual_dim",
+            "audio_dim", "query_dim", "vocab_size", "max_frames", "max_caption_len",
+            "max_steps", "tau", "lam", "normalize_contrastive", "fusion", "beam_width",
+            "lr", "batch_size", "weight_decay", "epochs", "seed"]
+        cfg = ModelConfig()
+
+        def other(value):
+            if isinstance(value, bool):
+                return not value
+            return value + "x" if isinstance(value, str) else value * 2 + 1
+
+        left_out = [name for name in names
+                    if cfg.replace(**{name: other(getattr(cfg, name))}).digest() == cfg.digest()]
+        assert left_out == ["max_steps", "beam_width", "epochs"]
 
     def test_int_for_a_float_field_gives_the_same_config(self):
         as_int, as_float = ModelConfig.desk_scale(lr=1), ModelConfig.desk_scale(lr=1.0)

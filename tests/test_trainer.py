@@ -118,13 +118,9 @@ class TestAdamW:
             AdamW({}, lr=-1.0)
 
     @pytest.mark.parametrize("field,value", [
-        ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
-        ("beta2", 1.0), ("beta2", 2.0), ("beta2", float("nan")),
-        ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")),
         ("weight_decay", -0.01), ("weight_decay", float("nan")), ("lr", float("nan")),
     ])
     def test_out_of_range_hyperparameter_rejected_before_any_step(self, field, value):
-        # beta 1 divided by zero at the first step; eps 0 made 0/0 of a zero gradient
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match=field):
             AdamW({"p": p}, **{"lr": 0.1, field: value})
@@ -251,8 +247,7 @@ class TestFlatAgainstSlowAdamW:
         model, twin = QuagParams(config), QuagParams(config)
         fast, slow = model.named_parameters(), twin.named_parameters()
         optimizer = AdamW.for_model(model)
-        reference = SlowAdamW(slow, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                              eps=config.eps, weight_decay=config.weight_decay)
+        reference = SlowAdamW(slow, lr=config.lr, weight_decay=config.weight_decay)
         rng = np.random.default_rng(2)
         for step in range(30):
             if step == 15:
@@ -342,12 +337,12 @@ class TestFlatBuffers:
 
 class TestSchedule:
     def test_cycle_order(self):
-        schedule = TrainSchedule(iterations_per_epoch=6, epochs=1)
+        schedule = TrainSchedule(iterations_per_epoch=6)
         assert [schedule.task_at(i) for i in range(6)] == \
             ["ret", "seg", "cap", "ret", "seg", "cap"]
 
     def test_every_window_of_three_touches_each_task_once(self):
-        schedule = TrainSchedule(iterations_per_epoch=12, epochs=1)
+        schedule = TrainSchedule(iterations_per_epoch=12)
         tasks = [schedule.task_at(i) for i in range(12)]
         for i in range(0, 12, 3):
             assert sorted(tasks[i:i + 3]) == ["cap", "ret", "seg"]
