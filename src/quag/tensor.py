@@ -116,10 +116,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -133,36 +129,16 @@ class Tensor:
             grad = np.ones_like(self.data)
         ComputationTape.trace(self).run_backward(self, np.asarray(grad, dtype=self.data.dtype))
 
-    # Operator sugar; a non-tensor operand takes this tensor's dtype.
+    # Operator sugar: ``+`` and ``*``, which the model uses, and ``/``, which
+    # normalize_contrastive uses. A non-tensor operand takes this tensor's dtype.
     def __add__(self, other):
         return add(self, _coerce(other, self))
-
-    def __radd__(self, other):
-        return add(_coerce(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
 
     def __mul__(self, other):
         return mul(self, _coerce(other, self))
 
-    def __rmul__(self, other):
-        return mul(_coerce(other, self), self)
-
     def __truediv__(self, other):
         return div(self, _coerce(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return mul(self, _coerce(-1.0, self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -232,18 +208,17 @@ def _grad_buffer(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _accumulate_episodes(t: Tensor, grad_of: Callable[[int], np.ndarray], count: int,
-                         rows: Optional[slice] = None) -> None:
-    """Add ``grad_of(b)`` into ``t``, or into its ``rows`` only, for
-    b = count - 1 down to 0: the order in which the tape adds the gradients
-    of ``count`` per-episode graphs."""
+def _accumulate_episodes(t: Tensor, grads: np.ndarray, rows: Optional[slice] = None) -> None:
+    """Add the per-episode gradients ``grads`` [B, ...] into ``t``, or into its
+    ``rows`` only, last episode first: the order in which the tape adds the
+    gradients of B per-episode graphs."""
     if not t.requires_grad:
         return
-    for b in range(count - 1, -1, -1):
+    for g in grads[::-1]:
         if rows is None:
-            _accumulate(t, grad_of(b))
+            _accumulate(t, g)
         else:
-            _grad_buffer(t)[rows] += grad_of(b)
+            _grad_buffer(t)[rows] += g
 
 
 def _stacked(a: np.ndarray) -> np.ndarray:
@@ -292,10 +267,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _elementwise(a.data + b.data, a, b, lambda g: g, lambda g: g)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise(a.data - b.data, a, b, lambda g: g, np.negative)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _elementwise(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
@@ -336,10 +307,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         g = g.reshape(data.shape)
-        _accumulate_episodes(b, lambda i: g[i].sum(axis=0), len(g))
+        _accumulate_episodes(b, g.sum(axis=1))
         if x.requires_grad:
             _accumulate(x, (g @ w.data.T).reshape(x.shape))
-        _accumulate_episodes(w, lambda i: rows[i].T @ g[i], len(g))
+        _accumulate_episodes(w, np.matmul(rows.transpose(0, 2, 1), g))
 
     return _node(data.reshape(x.shape[:-1] + b.shape), (x, w, b), backward)
 
@@ -433,7 +404,7 @@ def slice_rows(x: Tensor, lo: int, hi: int, lead: Sequence[int] = ()) -> Tensor:
 
     def backward(g):
         g = g.reshape((-1,) + rows.shape)
-        _accumulate_episodes(x, lambda b: g[b], len(g), slice(lo, hi))
+        _accumulate_episodes(x, g, slice(lo, hi))
 
     return _node(data, (x,), backward)
 
@@ -610,7 +581,7 @@ def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Te
 
     def backward(g):
         g = g.reshape(data.shape)
-        _accumulate_episodes(wo, lambda i: ctx[i].T @ g[i], len(g))
+        _accumulate_episodes(wo, np.matmul(ctx.transpose(0, 2, 1), g))
         gh = (g @ wo.data.T).reshape(split).transpose(0, 2, 1, 3)
         dv = merge(np.swapaxes(w, -1, -2) @ gh)
         ds = gh @ np.swapaxes(vh, -1, -2)
@@ -622,7 +593,7 @@ def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Te
         for x, rows, p, dp in ((xv, rv, wv, dv), (xk, rk, wk, dk), (xq, rq, wq, dq)):
             if x.requires_grad:
                 _accumulate(x, (dp @ p.data.T).reshape(x.shape))
-            _accumulate_episodes(p, lambda i: rows[i].T @ dp[i], len(dp))
+            _accumulate_episodes(p, np.matmul(rows.transpose(0, 2, 1), dp))
 
     return _node(data.reshape(xq.shape[:-1] + wo.shape[1:]), (xq, xk, xv, wq, wk, wv, wo),
                  backward)
@@ -725,9 +696,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     n = y.shape[-1]
 
     def backward(g):
-        g_gain, g_bias = _stacked(g * y), _stacked(g)
-        _accumulate_episodes(gain, lambda i: _unbroadcast(g_gain[i], gain.shape), len(g_gain))
-        _accumulate_episodes(bias, lambda i: _unbroadcast(g_bias[i], bias.shape), len(g_bias))
+        _accumulate_episodes(gain, _stacked(g * y).sum(axis=1))
+        _accumulate_episodes(bias, _stacked(g).sum(axis=1))
         gy = g * gain.data
         dx = inv * (gy - np.add.reduce(gy, axis=-1, keepdims=True) / n
                     - y * (np.add.reduce(gy * y, axis=-1, keepdims=True) / n))
@@ -765,7 +735,7 @@ def grad_check(
             p.data = p.data.astype(np.float64)
             p.grad = None
         out = f()
-        if out.size != 1:
+        if out.data.size != 1:
             raise ValueError(f"grad_check requires a scalar output, got shape {out.shape}")
         if out.requires_grad:
             out.backward()

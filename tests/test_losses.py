@@ -226,13 +226,13 @@ def ref_retrieval_loss(dists, targets):
     terms = []
     for dist, (y_start, y_end) in zip(dists, targets):
         n = dist.p_start.shape[0]
-        terms.append(-sum_all(log_clamped(dist.p_start) * Tensor(one_hot(y_start, n))))
-        terms.append(-sum_all(log_clamped(dist.p_end) * Tensor(one_hot(y_end, n))))
+        terms.append(sum_all(log_clamped(dist.p_start) * Tensor(one_hot(y_start, n))) * -1.0)
+        terms.append(sum_all(log_clamped(dist.p_end) * Tensor(one_hot(y_end, n))) * -1.0)
     return _chain(terms) * (1.0 / len(dists))
 
 
 def ref_segmentation_loss(step_dists, gt_steps):
-    terms = [-sum_all(log_clamped(d) * Tensor(one_hot(y, d.shape[0])))
+    terms = [sum_all(log_clamped(d) * Tensor(one_hot(y, d.shape[0]))) * -1.0
              for d, y in zip(step_dists, gt_steps)]
     return _chain(terms) * (1.0 / len(terms))
 
@@ -244,7 +244,7 @@ def ref_caption_loss(logit_batch, gt_tokens):
         for i, tok in enumerate(targets):
             if tok != PAD:
                 select[i, tok] = 1.0
-        terms.append(-sum_all(log_softmax(logits) * Tensor(select)))
+        terms.append(sum_all(log_softmax(logits) * Tensor(select)) * -1.0)
     return _chain(terms) * (1.0 / len(terms))
 
 
@@ -254,8 +254,8 @@ def ref_msp_contrastive_loss(batch_v, batch_a, tau, normalize=False):
     b = batch_v.shape[0]
     sims = matmul(batch_v, transpose(batch_a)) * (1.0 / tau)
     diag = Tensor(np.eye(b, dtype=np.float32))
-    loss_v2a = -sum_all(log_softmax(sims) * diag) * (1.0 / b)
-    loss_a2v = -sum_all(log_softmax(transpose(sims)) * diag) * (1.0 / b)
+    loss_v2a = sum_all(log_softmax(sims) * diag) * -1.0 * (1.0 / b)
+    loss_a2v = sum_all(log_softmax(transpose(sims)) * diag) * -1.0 * (1.0 / b)
     return (loss_v2a + loss_a2v) * 0.5
 
 

@@ -119,10 +119,8 @@ class TestConfig:
         assert cfg.d_model == 64 and cfg.lr == 1e-3 and cfg.batch_size == 4
         cfg.validate()
 
-    def test_paper_scale_defaults(self):
-        cfg = ModelConfig()
-        assert cfg.d_model == 768 and cfg.lr == 1e-5 and cfg.batch_size == 5
-        assert cfg.n_heads == 8 and cfg.tau == 0.07
+    def test_defaults_are_the_desk_scale(self):
+        assert ModelConfig() == ModelConfig.desk_scale()
 
 
 class TestRegistry:

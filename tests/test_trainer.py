@@ -98,7 +98,7 @@ class TestAdamW:
         reps = -(-2 * trainer._SLICE // 7) + 1
         small = Tensor(x0.copy(), requires_grad=True)
         big = Tensor(np.tile(x0, reps), requires_grad=True)
-        assert big.size > 2 * trainer._SLICE and big.size % trainer._SLICE
+        assert big.data.size > 2 * trainer._SLICE and big.data.size % trainer._SLICE
         opt = AdamW({"small": small, "big": big}, lr=0.05, weight_decay=0.1)
         for _ in range(3):
             g = rng.standard_normal(7).astype(np.float32)
@@ -583,9 +583,9 @@ def _table_bytes(version, digest, model, optimizer, epoch):
     params, lo = model.named_parameters(), 0
     entries = [(n, p.data) for n, p in params.items()]
     for n, p in params.items():
-        entries += [(f"opt.{k}.{n}", flat[lo:lo + p.size].reshape(p.shape))
+        entries += [(f"opt.{k}.{n}", flat[lo:lo + p.data.size].reshape(p.shape))
                     for k, flat in (("m", optimizer.flat_m), ("v", optimizer.flat_v))]
-        lo += p.size
+        lo += p.data.size
     entries += [("trainer.step", np.array([optimizer.t], dtype="<i8")),
                 ("trainer.epoch", np.array([epoch], dtype="<i8"))]
     blob = b"QGCK" + struct.pack("<II", version, len(digest)) + digest.encode("ascii")
