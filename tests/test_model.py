@@ -122,6 +122,13 @@ class TestConfig:
     def test_defaults_are_the_desk_scale(self):
         assert ModelConfig() == ModelConfig.desk_scale()
 
+    def test_desk_scale_overrides_replace_the_defaults(self):
+        # bench/ builds its configs with desk_scale(**overrides)
+        cfg = ModelConfig.desk_scale(d_model=32, n_heads=4, epochs=3)
+        assert cfg == ModelConfig(d_model=32, n_heads=4, epochs=3)
+        with pytest.raises(ValueError, match="unknown config fields"):
+            ModelConfig.desk_scale(beta1=0.9)
+
 
 class TestRegistry:
     def test_names_stable_across_runs(self):

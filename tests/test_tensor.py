@@ -683,6 +683,36 @@ class TestLeadingEpisodeAxis:
             slices[b].backward(upstream[b])
         np.testing.assert_array_equal(table.grad, alone.grad)
 
+    def stacked_layer(self, op):
+        """A layer over x [B x N x D], and its parameters' arrays."""
+        B, N, D = self.B, self.N, self.D
+        if op == "affine":
+            return T.affine, [rand((D, D), seed=130), rand(D, seed=131)]
+        if op == "attention":
+            mask = key_masks(N, N)["causal"]
+            return (lambda x, *ws: attention(x, x, x, *ws, 2, mask),
+                    [rand((D, D), seed=s) / math.sqrt(D) for s in range(132, 136)])
+        if op == "layer_norm":
+            return layer_norm, [rand(D, seed=136), rand(D, seed=137)]
+        return lambda x, table: x * slice_rows(table, 0, N, (B,)), [rand((7, D), seed=138)]
+
+    @pytest.mark.parametrize("op", ["affine", "attention", "layer_norm", "slice_rows"])
+    def test_frozen_parameters_get_no_gradient(self, op):
+        """A parameter that does not require grad gets no gradient from a
+        stacked backward, and the input's gradient is the one it gets when
+        every parameter is trained."""
+        layer, params = self.stacked_layer(op)
+        x_data = rand((self.B, self.N, self.D), seed=139)
+        upstream = rand((self.B, self.N, self.D), seed=140)
+        input_grads = []
+        for trained in (True, False):
+            x = Tensor(x_data, requires_grad=True)
+            ps = [Tensor(p, requires_grad=trained) for p in params]
+            layer(x, *ps).backward(upstream)
+            assert [p.grad is not None for p in ps] == [trained] * len(ps)
+            input_grads.append(x.grad)
+        np.testing.assert_array_equal(input_grads[0], input_grads[1])
+
     @pytest.mark.parametrize("op", ["affine", "attention", "layer_norm"])
     def test_gradient(self, op):
         g = np.random.default_rng(113)
@@ -901,3 +931,22 @@ class TestScalarOperands:
         sum_all(out).backward()
         assert x.grad.dtype == dtype
         assert all(n.data.dtype == dtype for n in ComputationTape.trace(out).nodes)
+
+    # Only ``t + x``, ``t * x`` and ``t / x`` are operators; the rest is
+    # written with the named ops, so these fail loudly instead of building
+    # another graph.
+    MISSING = {
+        "2.5 + t": lambda t: 2.5 + t,
+        "2.5 * t": lambda t: 2.5 * t,
+        "2.5 / t": lambda t: 2.5 / t,
+        "t - 2.5": lambda t: t - 2.5,
+        "2.5 - t": lambda t: 2.5 - t,
+        "-t": lambda t: -t,
+        "t @ t": lambda t: t @ t,
+    }
+
+    @pytest.mark.parametrize("expr", list(MISSING))
+    def test_other_operators_raise_type_error(self, expr):
+        x = Tensor(rand((3, 3), seed=48), requires_grad=True)
+        with pytest.raises(TypeError):
+            self.MISSING[expr](x)
