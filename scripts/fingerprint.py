@@ -12,7 +12,9 @@ does), trains the workload's config once and prints the sha256 of:
   the same, even if they lay the checkpoint out or digest the config
   differently;
 - ``predict`` on every held-out episode, untrained and trained, at beam
-  widths 1 and 3.
+  widths 1 and 3; for train-desk also untrained in each ablation fusion
+  mode (``joint``, ``msp-only``, ``qc2-only``), so every trunk the array
+  path of ``predict`` runs is covered.
 
 The benchmark corpora each have one frame count. The ``mixed`` group trains
 train-desk's config on 16 episodes of 24 and 32 frames under one manifest,
@@ -38,6 +40,7 @@ from pathlib import Path
 SEED = 1
 BEAM_WIDTHS = (1, 3)
 MIXED_FRAMES = (24, 32)  # one corpus part of 8 episodes per frame count
+ABLATIONS = ("joint", "msp-only", "qc2-only")  # the workloads' configs run "quag"
 
 
 def sha256(data: bytes) -> str:
@@ -101,6 +104,9 @@ def fingerprint(name: str, work: Path) -> list[tuple[str, str]]:
     rows = [(f"predict.untrained.beam{w}",
              sha256(predictions(QuagParams(config.replace(beam_width=w)), heldout)))
             for w in BEAM_WIDTHS]
+    rows += [(f"predict.untrained.{mode}.beam{w}",
+              sha256(predictions(QuagParams(config.replace(fusion=mode, beam_width=w)), heldout)))
+             for mode in (ABLATIONS if name == "train-desk" else ()) for w in BEAM_WIDTHS]
     result = train(config, train_m, work / "run")
     rows.append(("metrics.jsonl", sha256(result.log_path.read_bytes())))
     rows.append(("checkpoint.state", restored_state(result.checkpoint_path, config)))

@@ -31,6 +31,14 @@ KEPT = {
     "data.py:matched_filter_span": "the synthetic corpus's oracle for ROADMAP 2a's eval",
     "model.py:groups": "QuagParams.groups: the subsystem grouping ROADMAP 2b's telemetry needs",
     "heads.py:decode_step_caption": "bench/walk.py calls it until ROADMAP 1b and 16",
+    "heads.py:decode_moment": "bench/walk.py calls it until ROADMAP 1b; predict runs decode_span",
+    "heads.py:predict_step_boundaries":
+        "bench/walk.py calls it until ROADMAP 1b; predict runs segment_span",
+    "model.py:encode_trunk": "bench/walk.py times it until ROADMAP 1b, and the tests hold "
+                             "infer_trunk and encode_stacked to it",
+    "tensor.py:__enter__": "no_grad: grad_check, bench/walk.py and the tests' graph-path "
+                           "references turn recording off with it",
+    "tensor.py:__exit__": "no_grad, as __enter__",
     "model.py:zero_grads": "QuagParams.zero_grads: bench/walk.py calls it until ROADMAP 1b and 16",
     "tensor.py:stack_rows": "only batches that mix frame counts reach it",
     "msp.py:_normalize_rows": "only normalize_contrastive=True reaches it (ROADMAP 15)",

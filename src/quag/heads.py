@@ -9,6 +9,13 @@ generation stops when a boundary reaches the span end. The step logits of a
 frame do not depend on the committed boundaries, only the mask does, so
 decoding scores the frames once and runs one masked softmax per boundary.
 
+All of inference is graph-free: ``model.predict`` runs every head on the
+encoder output's array, with no ``Tensor``. ``moment_probabilities`` is
+``predict_moment_span`` on ``tensor.softmax_core``, the core of its masked
+softmax; ``decode_span`` decodes the moment and ``segment_span`` the step
+boundaries (``decode_moment`` and ``predict_step_boundaries`` are their
+forms for a ``Tensor``); a ``DecodeState`` decodes the captions.
+
 Step captions are decoded on a ``DecodeState``, one row per caption, so the
 captions of an episode decode together, each against its own step's frames:
 the memories are padded to the longest and a key mask hides the padding.
@@ -25,7 +32,7 @@ that whole prefix on its own memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,11 +56,16 @@ __all__ = [
     "CaptionDecoder",
     "DecodeState",
     "predict_moment_span",
+    "moment_probabilities",
     "decode_moment",
+    "decode_span",
     "step_distribution",
     "predict_step_boundaries",
+    "segment_span",
     "decode_step_caption",
 ]
+
+Memory = Union[Tensor, np.ndarray]  # a caption's [M x D] frames, or their array
 
 
 @dataclass
@@ -71,16 +83,28 @@ def predict_moment_span(frames: Tensor, start_head: Tensor,
     return SpanDistribution(p_start=p_start, p_end=p_end)
 
 
+def moment_probabilities(frames: np.ndarray, start_head: Tensor,
+                         end_head: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """``predict_moment_span`` on an [N x D] array: the start and end
+    probability arrays."""
+    return (softmax_core((frames @ start_head.data).reshape(-1)),
+            softmax_core((frames @ end_head.data).reshape(-1)))
+
+
 def decode_moment(dist: SpanDistribution) -> tuple[int, int]:
-    """Argmax decoding with a joint-probability fallback.
+    """``decode_span`` of the distribution's arrays."""
+    return decode_span(dist.p_start.data, dist.p_end.data)
+
+
+def decode_span(ps: np.ndarray, pe: np.ndarray) -> tuple[int, int]:
+    """Argmax decoding of the start and end probabilities ``ps`` and ``pe``
+    over frames, with a joint-probability fallback.
 
     Argmax ties break toward the earliest start and the latest end. When the
     argmax end lands before the argmax start, the span maximizing
     p_start[s] * p_end[e] over s <= e is taken instead, ties broken toward
     the widest then earliest span.
     """
-    ps = dist.p_start.data
-    pe = dist.p_end.data
     start = int(np.argmax(ps))
     end = len(pe) - 1 - int(np.argmax(pe[::-1]))
     if end >= start:
@@ -138,7 +162,14 @@ def step_distribution(frames: Tensor, state: StepBoundaryState, step_head: Tenso
 def predict_step_boundaries(frames: Tensor, span: tuple[int, int], step_head: Tensor,
                             marker: object = None,  # ignored: for bench/walk.py until ROADMAP 1b
                             max_steps: int = 16) -> list[int]:
-    """Greedy autoregressive segmentation of the span into step boundaries.
+    """``segment_span`` of the frames' array."""
+    return segment_span(frames.data, span, step_head, max_steps)
+
+
+def segment_span(frames: np.ndarray, span: tuple[int, int], step_head: Tensor,
+                 max_steps: int = 16) -> list[int]:
+    """Greedy autoregressive segmentation of the span into step boundaries,
+    on an [N x D] array.
 
     The frames are scored once; each boundary is the argmax of the masked
     softmax of those logits, the probabilities ``step_distribution`` gives.
@@ -149,7 +180,7 @@ def predict_step_boundaries(frames: Tensor, span: tuple[int, int], step_head: Te
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     state = StepBoundaryState(span=span, n_frames=frames.shape[0])
-    logits = (frames.data @ step_head.data).reshape(-1)
+    logits = (frames @ step_head.data).reshape(-1)
     end = span[1]
     for _ in range(max_steps):
         if state.last_boundary == end:
@@ -222,7 +253,7 @@ class CaptionDecoder:
             x = block(x, memory)
         return self.out(x)
 
-    def greedy_decode(self, memories: Sequence[Tensor], max_len: int) -> list[list[int]]:
+    def greedy_decode(self, memories: Sequence[Memory], max_len: int) -> list[list[int]]:
         """Greedy decode from BOS, one caption per memory, as the rows of one
         ``DecodeState``; a caption ends at EOS (its row is dropped), after
         max_len tokens, or after max_positions - 1 tokens."""
@@ -243,7 +274,7 @@ class CaptionDecoder:
                 out[caption].append(token)
         return out
 
-    def beam_decode(self, memories: Sequence[Tensor], max_len: int,
+    def beam_decode(self, memories: Sequence[Memory], max_len: int,
                     beam_width: int) -> list[list[int]]:
         """Beam search over summed token log-probabilities, one caption per
         memory; width 1 is greedy.
@@ -292,10 +323,10 @@ class DecodeState:
     """Incremental decoding of R rows, each against its own memory, on the
     arrays of the memories and parameters: numpy caches and logits, no graph.
 
-    The memories, one per caption, are padded once to the longest (M
-    positions); per decoder block their cross-attention keys and values are
-    projected once for all rows, and the self-attention keys and values of the
-    positions decoded so far grow by one per ``step``. A boolean key mask
+    The memories, one per caption, Tensors or their arrays, are padded once
+    to the longest (M positions); per decoder block their cross-attention
+    keys and values are projected once for all rows, and the self-attention
+    keys and values of the positions decoded so far grow by one per ``step``. A boolean key mask
     [R, 1, 1, M] marks padded positions; memories of one length get none. Every
     memory must have a position, so no row is fully masked: that is checked
     once here, and ``step`` hands the mask to the attention core unchecked.
@@ -307,9 +338,10 @@ class DecodeState:
     the whole prefix for every token.
     """
 
-    def __init__(self, decoder: CaptionDecoder, memories: Sequence[Tensor]):
+    def __init__(self, decoder: CaptionDecoder, memories: Sequence[Memory]):
         if not memories:
             raise ShapeError("DecodeState needs at least one memory")
+        memories = [m.data if isinstance(m, Tensor) else m for m in memories]
         lengths = np.array([m.shape[0] for m in memories])
         if lengths.min() < 1:
             raise ShapeError("DecodeState got a memory with no positions")
@@ -320,8 +352,8 @@ class DecodeState:
         self.mask: Optional[np.ndarray] = None
         if (lengths < width).any():
             self.mask = (np.arange(width) >= lengths[:, None])[:, None, None, :]
-        memory = memories[0].data if self.rows == 1 else np.concatenate(
-            [np.pad(m.data, ((0, width - m.shape[0]), (0, 0))) for m in memories])
+        memory = memories[0] if self.rows == 1 else np.concatenate(
+            [np.pad(m, ((0, width - m.shape[0]), (0, 0))) for m in memories])
         self.caches = [block.start_cache(memory, self.rows) for block in decoder.blocks]
 
     def step(self, tokens: Sequence[int]) -> np.ndarray:

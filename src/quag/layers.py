@@ -5,8 +5,11 @@ masking and cross-attention to the encoder form.
 A linear layer is one autodiff graph node, ``tensor.affine``, and so is
 multi-head attention, ``tensor.attention``: input projections, head split,
 scaled scores, mask, softmax, weighted sum, head merge and output
-projection. The cached decoder ``step`` is plain numpy on the same ops'
-forward cores: ``tensor.attention_core``, ``layer_norm_core``, ``gelu_core``.
+projection. Each layer's ``infer`` and the cached decoder ``step`` are
+their array forms for inference: plain numpy on the same ops' forward cores
+(``tensor.affine_core``, ``multihead_core``, ``attention_core``,
+``layer_norm_core``, ``gelu_core``), so they equal the graph forms bit for
+bit.
 
 All parameters are created from a caller-supplied numpy Generator with
 Xavier-uniform weights and zero biases, in a fixed draw order, so a fixed seed
@@ -24,12 +27,14 @@ from quag.tensor import (
     ShapeError,
     Tensor,
     affine,
+    affine_core,
     attention,
     attention_core,
     gelu,
     gelu_core,
     layer_norm,
     layer_norm_core,
+    multihead_core,
 )
 
 __all__ = [
@@ -72,6 +77,10 @@ class LinearLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.weight, self.bias)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """``__call__`` on an array."""
+        return affine_core(x, self.weight.data, self.bias.data)
+
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.weight", self.weight
         yield f"{prefix}.bias", self.bias
@@ -105,6 +114,11 @@ class MultiHeadAttention:
         weight, and a query row with every key masked is an error."""
         return attention(query, key, value, self.wq, self.wk, self.wv, self.wo,
                          self.n_heads, mask)
+
+    def infer(self, query: np.ndarray, key: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """Unmasked ``__call__`` on arrays."""
+        return multihead_core(query, key, value, self.wq.data, self.wk.data, self.wv.data,
+                              self.wo.data, self.n_heads)[0]
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.wq", self.wq
@@ -161,6 +175,11 @@ class TransformerBlock:
         if decoder:
             h = self._sublayer(1, h, self.cross_attn(h, memory, memory))
         return self._sublayer(-1, h, self.ffn_out(gelu(self.ffn_in(h))))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """An encoder block's ``__call__`` on an [L x D] array."""
+        h = self._step_norm(0, x, self.self_attn.infer(x, x, x))
+        return self._step_norm(-1, h, self.ffn_out.infer(gelu_core(self.ffn_in.infer(h))[0]))
 
     def start_cache(self, memory: np.ndarray, rows: int) -> tuple[np.ndarray, ...]:
         """The ``step`` cache of a decoder block for R = ``rows`` rows, row r

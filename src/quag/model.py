@@ -5,11 +5,14 @@ gating stack, the multi-modal encoder, and the task heads into one model with
 a stable named parameter registry. Ablation fusion modes swap the two core
 stacks for the elementwise sum / broadcast product of the baseline fusion.
 
-``encode_trunk`` runs one episode through everything up to the heads, and
-``predict`` decodes with it. ``encode_stacked`` runs the same trunk body once
-for a batch of equal-length episodes stacked along a leading axis; the
-teacher-forced training objective, ``trainer.batch_loss``, builds the heads
-of a whole batch on it.
+``encode_trunk`` runs one episode through everything up to the heads as an
+autodiff graph. ``encode_stacked`` runs the same trunk body once for a batch
+of equal-length episodes stacked along a leading axis; the teacher-forced
+training objective, ``trainer.batch_loss``, builds the heads of a whole batch
+on it. Inference is graph-free: ``predict`` runs ``infer_trunk``, the trunk
+on plain arrays through each layer's ``infer`` form, equal to
+``encode_trunk``'s representation bit for bit, then decodes the moment, the
+steps and their captions from that array.
 """
 
 from __future__ import annotations
@@ -22,16 +25,11 @@ from typing import ClassVar, Iterator, Optional, Sequence
 import numpy as np
 
 from quag.data import DatasetManifest, EpisodeRecord, step_frame_spans
-from quag.heads import (
-    CaptionDecoder,
-    decode_moment,
-    predict_moment_span,
-    predict_step_boundaries,
-)
+from quag.heads import CaptionDecoder, decode_span, moment_probabilities, segment_span
 from quag.layers import LinearLayer, TransformerBlock, encoder_forward, xavier_uniform
 from quag.msp import MspParams, cross_modal_interact, fuse_audio_visual, global_pool
 from quag.qc2 import Qc2Params, apply_filtration, build_query_centric_repr, compute_gates, fuse_query_context
-from quag.tensor import ShapeError, Tensor, no_grad, slice_rows
+from quag.tensor import ShapeError, Tensor, slice_rows
 
 __all__ = [
     "FUSION_MODES",
@@ -40,6 +38,7 @@ __all__ = [
     "PredictionSet",
     "encode_trunk",
     "encode_stacked",
+    "infer_trunk",
     "predict",
 ]
 
@@ -305,18 +304,32 @@ def _trunk(visual: np.ndarray, audio: np.ndarray, query: np.ndarray, params: Qua
     return enhanced, pooled_v, pooled_a
 
 
+def infer_trunk(episode: EpisodeRecord, params: QuagParams) -> np.ndarray:
+    """``encode_trunk``'s [N, D] enhanced representation, computed on arrays
+    with no graph and no pooled features."""
+    _check_dims(episode, params.config)
+    r_v = params.proj_visual.infer(episode.visual)
+    r_a = params.proj_audio.infer(episode.audio)
+    r_t = params.proj_query.infer(episode.query)
+    pos = params.pos_embed.data[:episode.n_frames]
+    r_v, r_a = r_v + pos, r_a + pos
+    fused = r_v + r_a if params.msp is None else params.msp.infer(r_v, r_a)
+    rep = fused * r_t if params.qc2 is None else params.qc2.infer(fused, r_t)
+    for block in params.encoder:
+        rep = block.infer(rep)
+    return rep
+
+
 def predict(episode: EpisodeRecord, params: QuagParams) -> PredictionSet:
     """Decode the moment, segment it, and caption every step from its own
-    frames, the steps' captions decoding together as rows of one batch."""
+    frames, the steps' captions decoding together as rows of one batch; all
+    on arrays, with no graph."""
     config = params.config
-    with no_grad():
-        enhanced, _, _ = encode_trunk(episode, params)
-        span = decode_moment(predict_moment_span(enhanced, params.start_head, params.end_head))
-        boundaries = predict_step_boundaries(enhanced, span, params.step_head,
-                                             max_steps=config.max_steps)
-        captions = params.decoder.beam_decode(
-            [slice_rows(enhanced, lo, hi + 1)
-             for lo, hi in step_frame_spans(span[0], boundaries)],
-            config.max_caption_len, config.beam_width)
+    enhanced = infer_trunk(episode, params)
+    span = decode_span(*moment_probabilities(enhanced, params.start_head, params.end_head))
+    boundaries = segment_span(enhanced, span, params.step_head, config.max_steps)
+    captions = params.decoder.beam_decode(
+        [enhanced[lo:hi + 1] for lo, hi in step_frame_spans(span[0], boundaries)],
+        config.max_caption_len, config.beam_width)
     return PredictionSet(episode_id=episode.id, moment=span, steps=boundaries,
                          captions=captions)

@@ -18,6 +18,7 @@ from quag.tensor import (
     ShapeError,
     Tensor,
     concat_last,
+    concat_last_core,
     log_softmax,
     matmul,
     mean_axis,
@@ -53,6 +54,13 @@ class MspParams:
             MultiHeadAttention.create(rng, dim, n_heads),
             LinearLayer.create(rng, 2 * dim, dim),
         )
+
+    def infer(self, r_v: np.ndarray, r_a: np.ndarray) -> np.ndarray:
+        """``cross_modal_interact`` then ``fuse_audio_visual`` on one
+        episode's [N x D] arrays: the fused [N x D] stream."""
+        joint_v = self.attn_v2a.infer(r_v, r_a, r_a)
+        joint_a = self.attn_a2v.infer(r_a, r_v, r_v)
+        return self.fuse.infer(concat_last_core(joint_v, joint_a))
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield from self.attn_v2a.named_params(f"{prefix}.attn_v2a")

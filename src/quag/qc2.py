@@ -18,9 +18,11 @@ from quag.tensor import (
     ShapeError,
     Tensor,
     concat_last,
+    concat_last_core,
     mean_axis,
     reshape,
     sigmoid,
+    sigmoid_core,
 )
 
 __all__ = [
@@ -53,6 +55,17 @@ class Qc2Params:
             LinearLayer.create(rng, dim, dim),
             MultiHeadAttention.create(rng, dim, n_heads),
         )
+
+    def infer(self, fused_av: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """``fuse_query_context``, ``compute_gates``, ``apply_filtration`` and
+        ``build_query_centric_repr`` on one episode's [N x D] stream and [D]
+        query: the query-centric [N x D] representation."""
+        context = self.fuse.infer(concat_last_core(fused_av, query))
+        n_frames, dim = context.shape
+        temporal_in = context.mean(axis=1).reshape(n_frames, 1)
+        temporal = sigmoid_core(self.gate_temporal.infer(temporal_in))
+        channel = sigmoid_core(self.gate_channel.infer(context.mean(axis=0).reshape(1, dim)))
+        return temporal * channel * fused_av + self.inject.infer(context, context, context)
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield from self.fuse.named_params(f"{prefix}.fuse")

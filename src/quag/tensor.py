@@ -7,8 +7,10 @@ tensor; ``Tensor.backward`` replays them once in reverse topological order,
 summing gradients into shared inputs and freeing each op node's gradient as
 soon as its rule has used it. The elementwise ops and ``concat_last``
 broadcast as numpy does; backward sums each gradient back to its operand's
-shape. Graph-free decoding runs the ops' numpy forward cores (``softmax_core``,
-``attention_core``, ...), so no formula is written twice.
+shape. Inference is graph-free: ``model.predict`` runs the trunk, the task
+heads and caption decoding on the ops' numpy forward cores (``affine_core``,
+``multihead_core``, ``sigmoid_core``, ``layer_norm_core``, ...), which the
+ops call too, so no formula is written twice.
 
 Leading-axis rule: ``affine``, ``attention`` and ``layer_norm`` also take a
 leading episode axis B, so a batch of equal-length episodes runs as one
@@ -41,10 +43,12 @@ __all__ = [
     "ShapeError",
     "no_grad",
     "matmul",
+    "affine_core",
     "affine",
     "transpose",
     "reshape",
     "take_episode",
+    "concat_last_core",
     "concat_last",
     "stack_rows",
     "slice_rows",
@@ -53,10 +57,12 @@ __all__ = [
     "softmax_core",
     "masked_softmax",
     "attention_core",
+    "multihead_core",
     "attention",
     "log_softmax_core",
     "log_softmax",
     "log_clamped",
+    "sigmoid_core",
     "sigmoid",
     "sqrt",
     "gelu_core",
@@ -294,6 +300,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward)
 
 
+def affine_core(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` of arrays, shaped ``x.shape[:-1] + b.shape``: each
+    episode's rows as one product, as ``affine`` multiplies them."""
+    return (_stacked(x) @ w + b).reshape(x.shape[:-1] + b.shape)
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node, for ``x`` [IN], [N x IN] or [B x N x IN],
     ``w`` [IN x OUT] and ``b`` [OUT]. A rank-1 ``x`` is multiplied as a
@@ -303,16 +315,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             or b.shape != w.shape[1:]:
         raise ShapeError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
     rows = _stacked(x.data)
-    data = rows @ w.data + b.data
 
     def backward(g):
-        g = g.reshape(data.shape)
+        g = _stacked(g)
         _accumulate_episodes(b, g.sum(axis=1))
         if x.requires_grad:
             _accumulate(x, (g @ w.data.T).reshape(x.shape))
         _accumulate_episodes(w, np.matmul(rows.transpose(0, 2, 1), g))
 
-    return _node(data.reshape(x.shape[:-1] + b.shape), (x, w, b), backward)
+    return _node(affine_core(x.data, w.data, b.data), (x, w, b), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -350,6 +361,14 @@ def take_episode(x: Tensor, index: int) -> Tensor:
     return _node(data, (x,), backward)
 
 
+def concat_last_core(*arrays: np.ndarray) -> np.ndarray:
+    """Concatenate arrays along the last axis, their leading axes broadcast;
+    leading shapes that do not broadcast raise numpy's ``ValueError``."""
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    return np.concatenate([a if a.shape[:-1] == lead else
+                           np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays], -1)
+
+
 def concat_last(*tensors: Tensor) -> Tensor:
     """Concatenate along the last axis. The leading axes broadcast as in the
     elementwise ops, so a [D] row joins every row of an [N x D'] block; each
@@ -357,12 +376,10 @@ def concat_last(*tensors: Tensor) -> Tensor:
     if len(tensors) < 2:
         raise ValueError("concat_last needs at least two tensors")
     try:
-        lead = np.broadcast_shapes(*(t.shape[:-1] for t in tensors))
+        data = concat_last_core(*(t.data for t in tensors))
     except ValueError:
         raise ShapeError("concat_last leading shapes do not broadcast: "
                          + " vs ".join(str(t.shape) for t in tensors)) from None
-    data = np.concatenate([t.data if t.shape[:-1] == lead else
-                           np.broadcast_to(t.data, lead + t.shape[-1:]) for t in tensors], -1)
     widths = [t.shape[-1] for t in tensors]
 
     def backward(g):
@@ -531,6 +548,32 @@ def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return w @ v, w
 
 
+def _merge_heads(heads: np.ndarray) -> np.ndarray:
+    """[B, h, L, D/h] per-head rows as [B, L, D], heads in channel order."""
+    return heads.transpose(0, 2, 1, 3).reshape(heads.shape[0], heads.shape[2], -1)
+
+
+def multihead_core(xq: np.ndarray, xk: np.ndarray, xv: np.ndarray, wq: np.ndarray,
+                   wk: np.ndarray, wv: np.ndarray, wo: np.ndarray, n_heads: int,
+                   mask: Optional[np.ndarray] = None,
+                   ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The forward of ``attention`` on arrays, unchecked: the output, shaped
+    ``xq.shape[:-1] + wo.shape[1:]``, and what its backward reads, the
+    head-major queries [B, h, Lq, D/h], keys [B, h, D/h, Lk] and values
+    [B, h, Lk, D/h], the weights [B, h, Lq, Lk] and the merged context
+    [B, Lq, D]."""
+    rq, rk, rv = _stacked(xq), _stacked(xk), _stacked(xv)
+    split = (len(rq), -1, n_heads, wq.shape[1] // n_heads)
+    # Contiguous head-major copies: the products then round as the
+    # per-head matmuls of stacked [B, h, L, D/h] tensors do.
+    qh = np.ascontiguousarray((rq @ wq).reshape(split).transpose(0, 2, 1, 3))
+    kh = np.ascontiguousarray((rk @ wk).reshape(split).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray((rv @ wv).reshape(split).transpose(0, 2, 1, 3))
+    heads, w = attention_core(qh, kh, vh, mask)
+    ctx = _merge_heads(heads)
+    return (ctx @ wo).reshape(xq.shape[:-1] + wo.shape[1:]), (qh, kh, vh, w, ctx)
+
+
 def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
               wo: Tensor, n_heads: int, mask: Optional[np.ndarray] = None) -> Tensor:
     """A multi-head attention layer as one graph node: [Lq x IN] queries
@@ -564,39 +607,29 @@ def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Te
             raise ShapeError(f"attention mask shape {mask.shape} != ({n_q}, {n_k})")
         if mask.all(axis=-1).any():
             raise ValueError("attention: a query row has every key masked")
+    data, (qh, kh, vh, w, ctx) = multihead_core(xq.data, xk.data, xv.data, wq.data, wk.data,
+                                                wv.data, wo.data, n_heads, mask)
     rq, rk, rv = _stacked(xq.data), _stacked(xk.data), _stacked(xv.data)
     split = (len(rq), -1, n_heads, dim // n_heads)
-
-    def merge(heads: np.ndarray) -> np.ndarray:
-        return heads.transpose(0, 2, 1, 3).reshape(len(heads), -1, dim)
-
-    # Contiguous head-major copies: the products then round as the
-    # per-head matmuls of stacked [B, h, L, D/h] tensors do.
-    qh = np.ascontiguousarray((rq @ wq.data).reshape(split).transpose(0, 2, 1, 3))
-    kh = np.ascontiguousarray((rk @ wk.data).reshape(split).transpose(0, 2, 3, 1))
-    vh = np.ascontiguousarray((rv @ wv.data).reshape(split).transpose(0, 2, 1, 3))
-    heads, w = attention_core(qh, kh, vh, mask)
-    ctx, scale = merge(heads), w.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
-    data = ctx @ wo.data
+    scale = w.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
 
     def backward(g):
-        g = g.reshape(data.shape)
+        g = _stacked(g)
         _accumulate_episodes(wo, np.matmul(ctx.transpose(0, 2, 1), g))
         gh = (g @ wo.data.T).reshape(split).transpose(0, 2, 1, 3)
-        dv = merge(np.swapaxes(w, -1, -2) @ gh)
+        dv = _merge_heads(np.swapaxes(w, -1, -2) @ gh)
         ds = gh @ np.swapaxes(vh, -1, -2)
         ds -= (ds * w).sum(axis=-1, keepdims=True)
         ds *= w
         ds *= scale
-        dq = merge(ds @ np.swapaxes(kh, -1, -2))
-        dk = merge(np.swapaxes(ds, -1, -2) @ qh)
+        dq = _merge_heads(ds @ np.swapaxes(kh, -1, -2))
+        dk = _merge_heads(np.swapaxes(ds, -1, -2) @ qh)
         for x, rows, p, dp in ((xv, rv, wv, dv), (xk, rk, wk, dk), (xq, rq, wq, dq)):
             if x.requires_grad:
                 _accumulate(x, (dp @ p.data.T).reshape(x.shape))
             _accumulate_episodes(p, np.matmul(rows.transpose(0, 2, 1), dp))
 
-    return _node(data.reshape(xq.shape[:-1] + wo.shape[1:]), (xq, xk, xv, wq, wk, wv, wo),
-                 backward)
+    return _node(data, (xq, xk, xv, wq, wk, wv, wo), backward)
 
 
 def log_softmax_core(x: np.ndarray) -> np.ndarray:
@@ -635,13 +668,8 @@ def sqrt(x: Tensor) -> Tensor:
     return _node(data, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function via the stable branch per sign.
-
-    Saturated values are nudged to the nearest representable number inside
-    (0, 1) so the open-interval contract survives rounding.
-    """
-    v = x.data
+def sigmoid_core(v: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, as ``sigmoid`` computes it."""
     out = np.empty_like(v)
     pos = v >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
@@ -649,6 +677,16 @@ def sigmoid(x: Tensor) -> Tensor:
     out[~pos] = ev / (1.0 + ev)
     info = np.finfo(v.dtype)
     np.clip(out, info.tiny, np.nextafter(v.dtype.type(1.0), v.dtype.type(0.0)), out=out)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic function via the stable branch per sign.
+
+    Saturated values are nudged to the nearest representable number inside
+    (0, 1) so the open-interval contract survives rounding.
+    """
+    out = sigmoid_core(x.data)
 
     def backward(g):
         _accumulate(x, g * out * (1.0 - out))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import single_frame_moment_corpus, tiny_config as corpus_config
-from quag import layers
+from quag import layers, tensor
 from quag.data import BOS, EOS, EpisodeRecord, step_frame_spans
 from quag.heads import (
     StepBoundaryState,
@@ -24,6 +24,7 @@ from quag.model import (
     QuagParams,
     encode_stacked,
     encode_trunk,
+    infer_trunk,
     predict,
 )
 from quag.msp import msp_contrastive_loss
@@ -641,6 +642,24 @@ def predict_step_by_step(episode, params):
     return PredictionSet(episode.id, span, boundaries, captions)
 
 
+def graph_predict(episode, params):
+    """``predict`` as it ran on the graph ops, kept as its reference: the
+    trunk through ``encode_trunk``, the heads through ``predict_moment_span``
+    and ``predict_step_boundaries`` on its Tensor, and every step's caption as
+    a row of one ``beam_decode`` over ``slice_rows`` memories."""
+    config = params.config
+    with no_grad():
+        enhanced, _, _ = encode_trunk(episode, params)
+        span = decode_moment(predict_moment_span(enhanced, params.start_head, params.end_head))
+        boundaries = predict_step_boundaries(enhanced, span, params.step_head,
+                                             max_steps=config.max_steps)
+        captions = params.decoder.beam_decode(
+            [slice_rows(enhanced, lo, hi + 1)
+             for lo, hi in step_frame_spans(span[0], boundaries)],
+            config.max_caption_len, config.beam_width)
+    return PredictionSet(episode.id, span, boundaries, captions)
+
+
 class TestPredictAgainstStepByStep:
     @pytest.mark.parametrize("beam_width", [1, 3])
     @pytest.mark.parametrize("fusion", FUSION_MODES)
@@ -656,6 +675,78 @@ class TestPredictAgainstStepByStep:
         # rows of several memories of unequal lengths were decoded
         assert any(len({b - a for a, b in zip([p.moment[0] - 1] + p.steps, p.steps)}) > 1
                    for p in predictions)
+
+    @pytest.mark.parametrize("beam_width", [1, 3])
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_same_as_graph_path(self, tiny_corpus, fusion, beam_width):
+        episodes = tiny_corpus.load_episodes()
+        for seed in (1, 3):
+            params = QuagParams(corpus_config(tiny_corpus, fusion=fusion, seed=seed,
+                                              beam_width=beam_width))
+            assert [predict(ep, params) for ep in episodes] == \
+                [graph_predict(ep, params) for ep in episodes]
+
+
+def random_vectors(params, seed):
+    """Give every bias and layer-norm gain of the model random values, so no
+    gain of 1 or bias of 0 hides a difference in the order of operations."""
+    g = np.random.default_rng(seed)
+    for p in params.named_parameters().values():
+        if p.ndim == 1:
+            p.data = g.standard_normal(p.shape).astype(p.data.dtype)
+    return params
+
+
+class TestInferTrunk:
+    """The array trunk ``predict`` runs against ``encode_trunk``'s graph: the
+    same numpy products in the same order, so equal bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("encoder_layers", [0, 2])
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_bit_equal_to_encode_trunk(self, fusion, encoder_layers, dtype):
+        params = random_vectors(QuagParams(tiny_config(fusion=fusion, n_heads=4,
+                                                       encoder_layers=encoder_layers)), 5)
+        for p in params.named_parameters().values():
+            p.data = p.data.astype(dtype)
+        for n_frames in (1, 5, params.config.max_frames):
+            episode = make_episode(n_frames=n_frames, seed=n_frames, moment=(0, 0), steps=(0,))
+            got = infer_trunk(episode, params)
+            with no_grad():
+                want = encode_trunk(episode, params)[0].data
+            assert type(got) is np.ndarray and got.dtype == dtype
+            assert np.array_equal(got, want), n_frames
+
+    def test_checks_episode_dims(self):
+        params = QuagParams(tiny_config(max_frames=4))
+        with pytest.raises(ShapeError, match="do not match config"):
+            predict(make_episode(n_frames=4, dv=9), params)
+        with pytest.raises(ShapeError, match="caps at"):
+            predict(make_episode(n_frames=5), params)
+
+
+def test_predict_runs_no_graph_op(tiny_corpus, monkeypatch):
+    params = QuagParams(corpus_config(tiny_corpus, beam_width=3))
+    episodes = tiny_corpus.load_episodes()
+    expected = [predict(ep, params) for ep in episodes]
+    made = []
+    init, node = Tensor.__init__, tensor._node
+
+    def counted_init(self, *args, **kwargs):
+        made.append("Tensor")
+        init(self, *args, **kwargs)
+
+    def counted_node(*args):
+        made.append("_node")
+        return node(*args)
+
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
+    monkeypatch.setattr(tensor, "_node", counted_node)
+    assert [predict(ep, params) for ep in episodes] == expected
+    assert made == []
+    with no_grad():
+        encode_trunk(episodes[0], params)  # the counters do see the graph trunk's ops
+    assert made.count("_node") > 0 and made.count("Tensor") >= made.count("_node")
 
 
 class TestBehaviourPin:

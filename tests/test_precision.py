@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from quag import tensor
+from quag import model as model_module
 from quag.heads import DecodeState
 from quag.losses import TASKS
 from quag.model import FUSION_MODES, QuagParams, predict
@@ -37,28 +37,36 @@ def test_training_graph_is_float32(tiny_corpus, fusion, task):
 
 
 def test_predict_computes_in_float32(tiny_corpus, monkeypatch):
-    # Caption decoding builds no graph nodes, so its step logits and caches
-    # are recorded separately.
-    seen, decoded = set(), set()
-    node, step = tensor._node, DecodeState.step
+    # predict builds no graph: record the arrays it computes, the trunk's
+    # output, the moment probabilities, and each decode step's logits and caches
+    seen = {"trunk": set(), "moment": set(), "decode": set()}
+    trunk = model_module.infer_trunk
+    probabilities = model_module.moment_probabilities
+    step = DecodeState.step
 
-    def recording_node(data, parents, backward):
-        seen.add(data.dtype)
-        return node(data, parents, backward)
+    def recording_trunk(episode, params):
+        out = trunk(episode, params)
+        seen["trunk"].add(out.dtype)
+        return out
+
+    def recording_probabilities(frames, start_head, end_head):
+        out = probabilities(frames, start_head, end_head)
+        seen["moment"].update(p.dtype for p in out)
+        return out
 
     def recording_step(self, tokens):
         logits = step(self, tokens)
-        decoded.add(logits.dtype)
-        decoded.update(a.dtype for cache in self.caches for a in cache)
+        seen["decode"].add(logits.dtype)
+        seen["decode"].update(a.dtype for cache in self.caches for a in cache)
         return logits
 
-    monkeypatch.setattr(tensor, "_node", recording_node)
+    monkeypatch.setattr(model_module, "infer_trunk", recording_trunk)
+    monkeypatch.setattr(model_module, "moment_probabilities", recording_probabilities)
     monkeypatch.setattr(DecodeState, "step", recording_step)
     model = _model(tiny_corpus, "quag")
     for episode in tiny_corpus.load_episodes():
         predict(episode, model)
-    assert seen == {np.dtype(np.float32)}
-    assert decoded == {np.dtype(np.float32)}
+    assert seen == {key: {np.dtype(np.float32)} for key in seen}
 
 
 @pytest.mark.parametrize("fusion", FUSION_MODES)

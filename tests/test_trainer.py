@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import single_frame_moment_corpus, tiny_config
+from conftest import TINY_SPEC, single_frame_moment_corpus, tiny_config
 from quag import trainer
+from quag.data import generate_synthetic_dataset
 from quag.losses import TASKS, total_loss
-from quag.model import QuagParams, predict
+from quag.model import FUSION_MODES, QuagParams, predict
 from quag.tensor import ShapeError, Tensor, sum_all
 from quag.trainer import (
     AdamW,
@@ -438,19 +439,25 @@ class TestRoundRobin:
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(p.data, before[name])
 
-    def test_losses_decrease_under_training(self, tiny_corpus):
-        config = tiny_config(tiny_corpus, epochs=25, lam=0.1)
-        episodes = tiny_corpus.load_episodes()
+    # Each task's last-epoch mean loss over its first-epoch mean is below
+    # these shares in every fusion mode. Measured: ret 0.26, seg 0.64, cap
+    # 0.063 in quag; at most 0.005, 0.022 and 0.010 in the other three.
+    SHARES = {"ret": 0.4, "seg": 0.8, "cap": 0.15}
+
+    @pytest.mark.parametrize("fusion", FUSION_MODES)
+    def test_every_task_learns(self, tmp_path, fusion):
+        manifest = generate_synthetic_dataset(tmp_path, dataclasses.replace(TINY_SPEC,
+                                                                            n_episodes=8))
+        episodes = manifest.load_episodes()
+        config = tiny_config(manifest, fusion=fusion, lr=3e-3)
         model = QuagParams(config)
         schedule = TrainSchedule.for_dataset(config, len(episodes))
         loaders = TaskLoaders(episodes, config.batch_size, config.seed)
         optimizer = AdamW.for_model(model)
-        first = round_robin_epoch(model, loaders, schedule, optimizer, epoch=0)
-        last = {}
-        for epoch in range(1, config.epochs):
-            last = round_robin_epoch(model, loaders, schedule, optimizer, epoch)
-        for task in ("ret", "seg", "cap"):
-            assert last[task] < first[task], f"{task} did not improve"
+        means = [round_robin_epoch(model, loaders, schedule, optimizer, epoch)
+                 for epoch in range(40)]
+        shares = {task: means[-1][task] / means[0][task] for task in TASKS}
+        assert all(shares[task] < self.SHARES[task] for task in TASKS), shares
 
 
 class TestCheckpointIO:
