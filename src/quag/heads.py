@@ -32,7 +32,7 @@ that whole prefix on its own memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,8 +64,6 @@ __all__ = [
     "segment_span",
     "decode_step_caption",
 ]
-
-Memory = Union[Tensor, np.ndarray]  # a caption's [M x D] frames, or their array
 
 
 @dataclass
@@ -253,7 +251,7 @@ class CaptionDecoder:
             x = block(x, memory)
         return self.out(x)
 
-    def greedy_decode(self, memories: Sequence[Memory], max_len: int) -> list[list[int]]:
+    def greedy_decode(self, memories: Sequence[np.ndarray], max_len: int) -> list[list[int]]:
         """Greedy decode from BOS, one caption per memory, as the rows of one
         ``DecodeState``; a caption ends at EOS (its row is dropped), after
         max_len tokens, or after max_positions - 1 tokens."""
@@ -274,7 +272,7 @@ class CaptionDecoder:
                 out[caption].append(token)
         return out
 
-    def beam_decode(self, memories: Sequence[Memory], max_len: int,
+    def beam_decode(self, memories: Sequence[np.ndarray], max_len: int,
                     beam_width: int) -> list[list[int]]:
         """Beam search over summed token log-probabilities, one caption per
         memory; width 1 is greedy.
@@ -323,10 +321,10 @@ class DecodeState:
     """Incremental decoding of R rows, each against its own memory, on the
     arrays of the memories and parameters: numpy caches and logits, no graph.
 
-    The memories, one per caption, Tensors or their arrays, are padded once
-    to the longest (M positions); per decoder block their cross-attention
-    keys and values are projected once for all rows, and the self-attention
-    keys and values of the positions decoded so far grow by one per ``step``. A boolean key mask
+    The memories, one [M_r x D] array per caption, are padded once to the
+    longest (M positions); per decoder block their cross-attention keys and
+    values are projected once for all rows, and the self-attention keys and
+    values of the positions decoded so far grow by one per ``step``. A boolean key mask
     [R, 1, 1, M] marks padded positions; memories of one length get none. Every
     memory must have a position, so no row is fully masked: that is checked
     once here, and ``step`` hands the mask to the attention core unchecked.
@@ -338,10 +336,9 @@ class DecodeState:
     the whole prefix for every token.
     """
 
-    def __init__(self, decoder: CaptionDecoder, memories: Sequence[Memory]):
+    def __init__(self, decoder: CaptionDecoder, memories: Sequence[np.ndarray]):
         if not memories:
             raise ShapeError("DecodeState needs at least one memory")
-        memories = [m.data if isinstance(m, Tensor) else m for m in memories]
         lengths = np.array([m.shape[0] for m in memories])
         if lengths.min() < 1:
             raise ShapeError("DecodeState got a memory with no positions")
@@ -389,5 +386,7 @@ def decode_step_caption(frames: Tensor, step_span: tuple[int, int],
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     lo, hi = step_span
-    memory = slice_rows(frames, lo, hi + 1) if restrict_to_step else frames
+    if restrict_to_step and not 0 <= lo <= hi < frames.shape[0]:
+        raise ShapeError(f"step span {step_span} out of range for shape {frames.shape}")
+    memory = frames.data[lo:hi + 1] if restrict_to_step else frames.data
     return decoder.beam_decode([memory], max_len, beam_width)[0]

@@ -79,7 +79,7 @@ class LinearLayer:
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """``__call__`` on an array."""
-        return affine_core(x, self.weight.data, self.bias.data)
+        return affine_core(x, self.weight.data, self.bias.data)[0]
 
     def named_params(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.weight", self.weight

@@ -300,10 +300,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def affine_core(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b`` of arrays, shaped ``x.shape[:-1] + b.shape``: each
-    episode's rows as one product, as ``affine`` multiplies them."""
-    return (_stacked(x) @ w + b).reshape(x.shape[:-1] + b.shape)
+def affine_core(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward of ``affine`` on arrays, unchecked: ``x @ w + b``, shaped
+    ``x.shape[:-1] + b.shape``, each episode's rows as one product, and the
+    stacked rows [B, N, IN] its backward reads."""
+    rows = _stacked(x)
+    return (rows @ w + b).reshape(x.shape[:-1] + b.shape), rows
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -314,7 +316,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if not 1 <= x.ndim <= 3 or w.ndim != 2 or x.shape[-1] != w.shape[0] \
             or b.shape != w.shape[1:]:
         raise ShapeError(f"affine shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    rows = _stacked(x.data)
+    data, rows = affine_core(x.data, w.data, b.data)
 
     def backward(g):
         g = _stacked(g)
@@ -323,7 +325,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(x, (g @ w.data.T).reshape(x.shape))
         _accumulate_episodes(w, np.matmul(rows.transpose(0, 2, 1), g))
 
-    return _node(affine_core(x.data, w.data, b.data), (x, w, b), backward)
+    return _node(data, (x, w, b), backward)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -548,6 +550,12 @@ def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return w @ v, w
 
 
+def _split_heads(rows: np.ndarray, n_heads: int) -> np.ndarray:
+    """[B, L, D] rows as [B, h, L, D/h] per-head rows, head i on channels
+    [i*D/h, (i+1)*D/h); a view."""
+    return rows.reshape(rows.shape[:2] + (n_heads, -1)).transpose(0, 2, 1, 3)
+
+
 def _merge_heads(heads: np.ndarray) -> np.ndarray:
     """[B, h, L, D/h] per-head rows as [B, L, D], heads in channel order."""
     return heads.transpose(0, 2, 1, 3).reshape(heads.shape[0], heads.shape[2], -1)
@@ -559,19 +567,18 @@ def multihead_core(xq: np.ndarray, xk: np.ndarray, xv: np.ndarray, wq: np.ndarra
                    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The forward of ``attention`` on arrays, unchecked: the output, shaped
     ``xq.shape[:-1] + wo.shape[1:]``, and what its backward reads, the
-    head-major queries [B, h, Lq, D/h], keys [B, h, D/h, Lk] and values
-    [B, h, Lk, D/h], the weights [B, h, Lq, Lk] and the merged context
-    [B, Lq, D]."""
+    stacked query, key and value rows [B, L, IN], the head-major queries
+    [B, h, Lq, D/h], keys [B, h, D/h, Lk] and values [B, h, Lk, D/h], the
+    weights [B, h, Lq, Lk] and the merged context [B, Lq, D]."""
     rq, rk, rv = _stacked(xq), _stacked(xk), _stacked(xv)
-    split = (len(rq), -1, n_heads, wq.shape[1] // n_heads)
     # Contiguous head-major copies: the products then round as the
     # per-head matmuls of stacked [B, h, L, D/h] tensors do.
-    qh = np.ascontiguousarray((rq @ wq).reshape(split).transpose(0, 2, 1, 3))
-    kh = np.ascontiguousarray((rk @ wk).reshape(split).transpose(0, 2, 3, 1))
-    vh = np.ascontiguousarray((rv @ wv).reshape(split).transpose(0, 2, 1, 3))
+    qh = np.ascontiguousarray(_split_heads(rq @ wq, n_heads))
+    kh = np.ascontiguousarray(np.swapaxes(_split_heads(rk @ wk, n_heads), -1, -2))
+    vh = np.ascontiguousarray(_split_heads(rv @ wv, n_heads))
     heads, w = attention_core(qh, kh, vh, mask)
     ctx = _merge_heads(heads)
-    return (ctx @ wo).reshape(xq.shape[:-1] + wo.shape[1:]), (qh, kh, vh, w, ctx)
+    return (ctx @ wo).reshape(xq.shape[:-1] + wo.shape[1:]), (rq, rk, rv, qh, kh, vh, w, ctx)
 
 
 def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
@@ -607,16 +614,14 @@ def attention(xq: Tensor, xk: Tensor, xv: Tensor, wq: Tensor, wk: Tensor, wv: Te
             raise ShapeError(f"attention mask shape {mask.shape} != ({n_q}, {n_k})")
         if mask.all(axis=-1).any():
             raise ValueError("attention: a query row has every key masked")
-    data, (qh, kh, vh, w, ctx) = multihead_core(xq.data, xk.data, xv.data, wq.data, wk.data,
-                                                wv.data, wo.data, n_heads, mask)
-    rq, rk, rv = _stacked(xq.data), _stacked(xk.data), _stacked(xv.data)
-    split = (len(rq), -1, n_heads, dim // n_heads)
+    data, (rq, rk, rv, qh, kh, vh, w, ctx) = multihead_core(
+        xq.data, xk.data, xv.data, wq.data, wk.data, wv.data, wo.data, n_heads, mask)
     scale = w.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
 
     def backward(g):
         g = _stacked(g)
         _accumulate_episodes(wo, np.matmul(ctx.transpose(0, 2, 1), g))
-        gh = (g @ wo.data.T).reshape(split).transpose(0, 2, 1, 3)
+        gh = _split_heads(g @ wo.data.T, n_heads)
         dv = _merge_heads(np.swapaxes(w, -1, -2) @ gh)
         ds = gh @ np.swapaxes(vh, -1, -2)
         ds -= (ds * w).sum(axis=-1, keepdims=True)

@@ -338,6 +338,12 @@ class TestCaptionDecoder:
         out = decode_step_caption(frames_tensor(6, 8, seed=2), (1, 4), decoder, max_len=8)
         assert out == []
 
+    @pytest.mark.parametrize("step_span", [(-1, 2), (3, 2), (4, 6), (6, 6)])
+    def test_step_span_out_of_range_rejected(self, step_span):
+        with pytest.raises(ShapeError, match="out of range"):
+            decode_step_caption(frames_tensor(6, 8, seed=2), step_span, make_decoder(seed=1),
+                                max_len=8)
+
     def test_teacher_forced_logit_shape(self):
         decoder = make_decoder(vocab=12, seed=3)
         memory = frames_tensor(5, 8, seed=4)
@@ -375,12 +381,12 @@ class TestCaptionDecoder:
     def test_beam_width_one_matches_greedy(self):
         decoder = make_decoder(seed=12)
         memory = frames_tensor(5, 8, seed=13)
-        assert decoder.beam_decode([memory], 6, 1) == decoder.greedy_decode([memory], 6)
+        assert decoder.beam_decode([memory.data], 6, 1) == decoder.greedy_decode([memory.data], 6)
 
     def test_beam_decode_returns_valid_tokens(self):
         decoder = make_decoder(vocab=12, seed=14)
         memory = frames_tensor(5, 8, seed=15)
-        [out] = decoder.beam_decode([memory], 6, 3)
+        [out] = decoder.beam_decode([memory.data], 6, 3)
         assert all(0 <= t < 12 for t in out)
         assert len(out) <= 6
 
@@ -442,10 +448,10 @@ class TestDecodeState:
     def test_same_ids_as_full_prefix_recompute(self, seed, heads, layers):
         decoder = make_decoder(heads=heads, layers=layers, seed=seed)
         memory = frames_tensor(2 + seed, 8, seed=100 + seed)
-        assert decoder.greedy_decode([memory], 10) == [recompute_greedy(decoder, memory, 10)]
-        assert decoder.beam_decode([memory], 10, 1) == [recompute_greedy(decoder, memory, 10)]
+        assert decoder.greedy_decode([memory.data], 10) == [recompute_greedy(decoder, memory, 10)]
+        assert decoder.beam_decode([memory.data], 10, 1) == [recompute_greedy(decoder, memory, 10)]
         for width in (2, 3, 4):
-            assert decoder.beam_decode([memory], 10, width) == \
+            assert decoder.beam_decode([memory.data], 10, width) == \
                 [recompute_beam(decoder, memory, 10, width)]
 
     @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2), (4, 2)])
@@ -453,7 +459,7 @@ class TestDecodeState:
         decoder = make_decoder(heads=heads, layers=layers, seed=20 + heads)
         memory = frames_tensor(5, 8, seed=21)
         pick = rng(22)
-        state = DecodeState(decoder, [memory])
+        state = DecodeState(decoder, [memory.data])
         prefixes = [[BOS]]
         for _ in range(decoder.max_positions):
             logits = state.step([p[-1] for p in prefixes])
@@ -469,7 +475,7 @@ class TestDecodeState:
             state.step([p[-1] for p in prefixes])
 
     def test_step_checks_token_count(self):
-        state = DecodeState(make_decoder(seed=23), [frames_tensor(3, 8, seed=24)])
+        state = DecodeState(make_decoder(seed=23), [frames_tensor(3, 8, seed=24).data])
         with pytest.raises(ShapeError):
             state.step([BOS, BOS])
 
@@ -488,7 +494,7 @@ class TestDecodeState:
         decoder = make_decoder(max_pos=6, seed=27)
         decoder.out.bias.data[EOS] = -1e9  # never stop voluntarily
         memory = frames_tensor(4, 8, seed=28)
-        [out] = decoder.beam_decode([memory], max_len, width)
+        [out] = decoder.beam_decode([memory.data], max_len, width)
         assert len(out) == decoder.max_positions - 1
         if width > 1:
             assert out == recompute_beam(decoder, memory, max_len, width)
@@ -500,7 +506,7 @@ class TestDecodeState:
         decoder.out.bias.data[EOS] = 3.0
         memory = frames_tensor(4, 8, seed=30)
         steps = count_steps(monkeypatch)
-        [out] = decoder.beam_decode([memory], 12, 3)
+        [out] = decoder.beam_decode([memory.data], 12, 3)
         assert out == recompute_beam(decoder, memory, 12, 3)
         assert 1 < len(steps) < 12
         assert steps[-1] < 3  # finished beams gave up their rows
@@ -515,11 +521,16 @@ class TestDecodeState:
 
     def test_width_below_one_rejected(self):
         with pytest.raises(ValueError):
-            make_decoder(seed=31).beam_decode([frames_tensor(3, 8)], 4, 0)
+            make_decoder(seed=31).beam_decode([frames_tensor(3, 8).data], 4, 0)
 
 
 def mixed_memories(seed, lengths=(1, 3, 7)):
     return [frames_tensor(n, 8, seed=seed * 10 + n) for n in lengths]
+
+
+def arrays(memories):
+    """The memories' arrays, as the decoder takes them."""
+    return [m.data for m in memories]
 
 
 class TestRowsOfSeveralMemories:
@@ -531,10 +542,10 @@ class TestRowsOfSeveralMemories:
     def test_each_memory_gets_the_ids_of_its_own_reference(self, seed, heads, layers):
         decoder = make_decoder(heads=heads, layers=layers, seed=40 + seed)
         memories = mixed_memories(seed)
-        assert decoder.greedy_decode(memories, 10) == \
+        assert decoder.greedy_decode(arrays(memories), 10) == \
             [recompute_greedy(decoder, m, 10) for m in memories]
         for width in (2, 3, 4):
-            assert decoder.beam_decode(memories, 10, width) == \
+            assert decoder.beam_decode(arrays(memories), 10, width) == \
                 [recompute_beam(decoder, m, 10, width) for m in memories]
 
     @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2), (4, 2)])
@@ -542,7 +553,7 @@ class TestRowsOfSeveralMemories:
         decoder = make_decoder(heads=heads, layers=layers, seed=50 + heads)
         memories = mixed_memories(51, (7, 1, 3))
         pick = rng(52)
-        state = DecodeState(decoder, memories)
+        state = DecodeState(decoder, arrays(memories))
         assert state.mask.shape == (3, 1, 1, 7)
         rows = [(m, [BOS]) for m in memories]
         for _ in range(decoder.max_positions):
@@ -557,14 +568,15 @@ class TestRowsOfSeveralMemories:
 
     def test_equal_lengths_need_no_mask(self):
         decoder = make_decoder(seed=53)
-        assert DecodeState(decoder, mixed_memories(54, (4, 4))).mask is None
-        assert DecodeState(decoder, mixed_memories(54, (4,))).mask is None
+        assert DecodeState(decoder, arrays(mixed_memories(54, (4, 4)))).mask is None
+        assert DecodeState(decoder, arrays(mixed_memories(54, (4,)))).mask is None
 
     def test_no_memory_rejected(self):
         with pytest.raises(ShapeError):
             DecodeState(make_decoder(seed=55), [])
         with pytest.raises(ShapeError, match="no positions"):
-            DecodeState(make_decoder(seed=55), mixed_memories(56, (3,)) + [frames_tensor(0, 8)])
+            DecodeState(make_decoder(seed=55),
+                        arrays(mixed_memories(56, (3,)) + [frames_tensor(0, 8)]))
 
     def test_rows_that_end_drop_out(self, monkeypatch):
         decoder = make_decoder(seed=20)
@@ -574,10 +586,10 @@ class TestRowsOfSeveralMemories:
         lengths = [len(ids) for ids in expected]
         assert lengths == [5, 4, 2]  # each caption ends at its own step
         steps = count_steps(monkeypatch)
-        assert decoder.greedy_decode(memories, 12) == expected
+        assert decoder.greedy_decode(arrays(memories), 12) == expected
         assert steps == [sum(n >= t for n in lengths) for t in range(max(lengths) + 1)]
         steps.clear()
-        assert decoder.beam_decode(memories, 12, 3) == \
+        assert decoder.beam_decode(arrays(memories), 12, 3) == \
             [recompute_beam(decoder, m, 12, 3) for m in memories]
         assert steps[-1] < steps[1]  # finished beams gave up their rows
 
@@ -638,7 +650,7 @@ class TestStepAgainstGraphStep:
                                               seed=60 + heads), seed=61)
         memories = [frames_tensor(n, 16, seed=62 + n) for n in lengths]
         pick = rng(63)
-        state = DecodeState(decoder, memories)
+        state = DecodeState(decoder, arrays(memories))
         assert (state.mask is None) == (len(set(lengths)) == 1)
         tokens = [BOS] * len(memories)
         for _ in range(decoder.max_positions):
@@ -656,7 +668,8 @@ class TestStepAgainstGraphStep:
 def test_decoding_builds_no_tensor(monkeypatch):
     decoder = make_decoder(heads=2, layers=2, seed=64)
     memories = mixed_memories(65)
-    expected = (decoder.greedy_decode(memories, 10), decoder.beam_decode(memories, 10, 3))
+    expected = (decoder.greedy_decode(arrays(memories), 10),
+                decoder.beam_decode(arrays(memories), 10, 3))
     made = []
     init, node = Tensor.__init__, tensor._node
 
@@ -670,7 +683,8 @@ def test_decoding_builds_no_tensor(monkeypatch):
 
     monkeypatch.setattr(Tensor, "__init__", counted_init)
     monkeypatch.setattr(tensor, "_node", counted_node)
-    assert (decoder.greedy_decode(memories, 10), decoder.beam_decode(memories, 10, 3)) == expected
+    assert (decoder.greedy_decode(arrays(memories), 10),
+            decoder.beam_decode(arrays(memories), 10, 3)) == expected
     assert made == []
     with no_grad():
         decoder.out(memories[0])  # the counters do see graph ops: one affine node

@@ -654,7 +654,7 @@ def graph_predict(episode, params):
         boundaries = predict_step_boundaries(enhanced, span, params.step_head,
                                              max_steps=config.max_steps)
         captions = params.decoder.beam_decode(
-            [slice_rows(enhanced, lo, hi + 1)
+            [slice_rows(enhanced, lo, hi + 1).data
              for lo, hi in step_frame_spans(span[0], boundaries)],
             config.max_caption_len, config.beam_width)
     return PredictionSet(episode.id, span, boundaries, captions)

@@ -439,6 +439,20 @@ class TestRoundRobin:
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(p.data, before[name])
 
+    def test_losses_decrease_under_training(self, tiny_corpus):
+        config = tiny_config(tiny_corpus, epochs=25, lam=0.1)
+        episodes = tiny_corpus.load_episodes()
+        model = QuagParams(config)
+        schedule = TrainSchedule.for_dataset(config, len(episodes))
+        loaders = TaskLoaders(episodes, config.batch_size, config.seed)
+        optimizer = AdamW.for_model(model)
+        first = round_robin_epoch(model, loaders, schedule, optimizer, epoch=0)
+        last = {}
+        for epoch in range(1, config.epochs):
+            last = round_robin_epoch(model, loaders, schedule, optimizer, epoch)
+        for task in ("ret", "seg", "cap"):
+            assert last[task] < first[task], f"{task} did not improve"
+
     # Each task's last-epoch mean loss over its first-epoch mean is below
     # these shares in every fusion mode. Measured: ret 0.26, seg 0.64, cap
     # 0.063 in quag; at most 0.005, 0.022 and 0.010 in the other three.
